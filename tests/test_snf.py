@@ -1,5 +1,10 @@
 import random
+from itertools import combinations
+from math import gcd
 
+import pytest
+
+from opencob.gluing import ConventionMismatch, _int_inverse
 from opencob.snf import IntMat, det_bareiss, smith, smith_normal_form, solve_int
 
 
@@ -109,3 +114,148 @@ class TestIntMat:
         assert det_bareiss([[2, 1], [1, 1]]) == 1
         assert det_bareiss([[1, 2], [2, 4]]) == 0
         assert det_bareiss([]) == 1
+
+
+def determinantal_divisors(rows):
+    """D_k = gcd of the k x k minors, for k = 1 .. min(n, m), via Bareiss."""
+    n, m = len(rows), len(rows[0])
+    out = []
+    for k in range(1, min(n, m) + 1):
+        g = 0
+        for ri in combinations(range(n), k):
+            for ci in combinations(range(m), k):
+                g = gcd(g, det_bareiss([[rows[i][j] for j in ci] for i in ri]))
+        out.append(g)
+    return out
+
+
+def random_oracle_matrix(rng):
+    n, m = rng.randint(1, 5), rng.randint(1, 5)
+    rows = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)]
+    shape = rng.randrange(4)
+    if shape == 0:      # torsion: scale a row and a column
+        i, j = rng.randrange(n), rng.randrange(m)
+        rows[i] = [2 * v for v in rows[i]]
+        for r in rows:
+            r[j] *= 3
+    elif shape == 1:    # a zero row and a zero column
+        rows[rng.randrange(n)] = [0] * m
+        j = rng.randrange(m)
+        for r in rows:
+            r[j] = 0
+    elif shape == 2:    # rank-deficient: repeat a combination of rows
+        if n > 1:
+            rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1 % (n - 1)])]
+    return rows
+
+
+def sparse_relation_matrix(rng, nrows, ncols, torsion):
+    """Columns with one to three +-1 entries, like the E-action relations;
+    ``torsion`` extra columns and rows carry only entries +-2 and +-3."""
+    cols = {}
+    for j in range(ncols):
+        col = {}
+        for i in rng.sample(range(nrows), rng.randint(1, min(3, nrows))):
+            col[i] = rng.choice((1, -1))
+        cols[j] = col
+    extra_rows = range(nrows, nrows + torsion)
+    for t, i in enumerate(extra_rows):
+        cols[ncols + t] = {i: rng.choice((2, -2, 3, -3)),
+                           rng.choice(extra_rows): rng.choice((2, -2))}
+    return IntMat(nrows + torsion, ncols + torsion, cols)
+
+
+def check_diag_form(mat, sf):
+    n, m = mat.nrows, mat.ncols
+    assert sf.u @ sf.uinv == IntMat.identity(n)
+    d = sf.u @ mat @ sf.v
+    for j, col in d.cols.items():
+        for i, val in col.items():
+            assert i == j and val == sf.diag[i]
+    assert len(d.cols) == sf.rank == len(sf.diag)
+    assert all(x > 0 for x in sf.diag)
+    for a, b in zip(sf.diag, sf.diag[1:]):
+        assert b % a == 0
+
+
+class TestSmithOracle:
+    def test_determinantal_divisors(self):
+        rng = random.Random(7)
+        for _ in range(150):
+            rows = random_oracle_matrix(rng)
+            sf = smith(IntMat.from_dense(rows))
+            divisors = determinantal_divisors(rows)
+            prod = 1
+            for k, dk in enumerate(divisors):
+                if k < sf.rank:
+                    prod *= sf.diag[k]
+                    assert dk == prod, (rows, sf.diag)
+                else:
+                    assert dk == 0, (rows, sf.diag)
+
+    def test_divisors_with_transforms(self):
+        rng = random.Random(8)
+        for _ in range(60):
+            rows = random_oracle_matrix(rng)
+            mat = IntMat.from_dense(rows)
+            full = smith(mat, want_u=True, want_uinv=True, want_v=True)
+            check_diag_form(mat, full)
+            assert full.diag == smith(mat).diag
+
+    def test_sparse_relation_matrices(self):
+        rng = random.Random(9)
+        for ncols in (50, 90, 140, 200):
+            for torsion in (0, 3):
+                nrows = rng.randint(ncols // 3, ncols)
+                mat = sparse_relation_matrix(rng, nrows, ncols, torsion)
+                sf = smith(mat, want_u=True, want_uinv=True, want_v=True)
+                check_diag_form(mat, sf)
+                assert sf.diag == smith(mat).diag
+                if torsion:
+                    assert not sf.is_free_quotient()
+
+    def test_square_sparse_determinant(self):
+        # a signed permutation plus two random +-1 entries per column:
+        # nonsingular in practice, with a determinant other than +-1
+        rng = random.Random(10)
+        dets = []
+        for n in (40, 50, 60):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            cols = {}
+            for j in range(n):
+                cols[j] = {i: rng.choice((1, -1)) for i in rng.sample(range(n), 2)}
+                cols[j][perm[j]] = rng.choice((1, -1))
+            mat = IntMat(n, n, cols)
+            sf = smith(mat)
+            det = abs(det_bareiss(mat.to_dense()))
+            prod = 1
+            for d in sf.diag:
+                prod *= d
+            assert prod == det if sf.rank == n else det == 0
+            dets.append(det)
+        assert any(d > 1 for d in dets)
+
+    def test_left_kernel_without_v(self):
+        rng = random.Random(11)
+        mat = sparse_relation_matrix(rng, 70, 60, 0)
+        sf = smith(mat, want_u=True, want_uinv=True)
+        assert sf.u @ sf.uinv == IntMat.identity(mat.nrows)
+        prod = sf.u @ mat
+        assert all(i < sf.rank for col in prod.cols.values() for i in col)
+
+
+class TestIntInverse:
+    def test_signed_permutation(self):
+        rng = random.Random(12)
+        n = 7
+        perm = list(range(n))
+        rng.shuffle(perm)
+        mat = IntMat(n, n, {j: {perm[j]: rng.choice((1, -1))} for j in range(n)})
+        inv = _int_inverse(mat)
+        assert inv @ mat == IntMat.identity(n)
+        assert mat @ inv == IntMat.identity(n)
+
+    def test_refuses_non_unimodular(self):
+        with pytest.raises(ConventionMismatch):
+            _int_inverse(IntMat.from_dense([[2, 0], [0, 1]]))
