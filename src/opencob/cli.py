@@ -12,13 +12,16 @@ from fractions import Fraction
 from .grading import (PRESET_HALF, PRESET_TENSOR, Grading, ParityParams,
                       ParityUndefined, ShiftParams)
 from .gluing import compose_iso, self_glue_iso
-from .harness import SUITES, run_suite
+from .harness import SUITES, resolve_trials, run_suite
 from .statespace import action_matrix, build, graded_superdim
 from .surface import SurfaceError, parse_surface, rank_h
 
 
 def _parse_fraction(tok: str) -> Fraction:
-    return Fraction(tok)
+    try:
+        return Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        raise SystemExit2(f"--shift: {tok!r} is not a rational n or n/d")
 
 
 def _grading_from_args(args) -> Grading:
@@ -37,8 +40,8 @@ def _grading_from_args(args) -> Grading:
         if args.parity == "half":
             return Grading(shift, None)
         parts = args.parity.split(",")
-        if len(parts) != 4:
-            raise SystemExit2("--parity needs four comma-separated bits or 'half'")
+        if len(parts) != 4 or any(p not in ("0", "1") for p in parts):
+            raise SystemExit2("--parity needs four comma-separated bits (0 or 1) or 'half'")
         parity = ParityParams(*(int(p) for p in parts))
     return Grading(shift, parity)
 
@@ -156,7 +159,11 @@ def cmd_compose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = run_suite(args.suite, seed=args.seed, trials=args.trials,
+    try:
+        trials = resolve_trials(args.suite, args.trials)
+    except ValueError as exc:
+        raise SystemExit2(str(exc))
+    report = run_suite(args.suite, seed=args.seed, trials=trials,
                        max_h=args.max_h)
     sys.stdout.write(report.to_text())
     print(f"# wall time: {report.wall_time:.2f}s", file=sys.stderr)

@@ -16,9 +16,9 @@ from .grading import Grading
 from .homology import (AdaptedBasis, H1Basis, adapted_basis, arc_element,
                        boundary_element, change_of_basis, model_of,
                        torus_element)
-from .snf import IntMat, smith, solve_exact, solve_int
-from .statespace import (StateSpace, action_matrix, bimodule_of, build,
-                         graded_superdim, popcount)
+from .snf import IntMat, smith, solve_int
+from .statespace import (MAX_STATE_H, StateSpace, action_matrix, bimodule_of,
+                         build, graded_superdim, popcount)
 from .superalg import (Bimodule, GradedIso, GradedMap, IsoFailure,
                        SuperAlgebra, TensorResult, coproduct_left_action,
                        external_tensor, hom_bimodule, identity_hom,
@@ -520,7 +520,8 @@ def compose_iso(fp: SuturedSurface, f: SuturedSurface, grading: Grading, *,
         tuple(fp.outgoing),
     )
     final = build(composed, grading)
-    assert final.basis.elements == current.basis.elements
+    if final.basis.elements != current.basis.elements:
+        raise ConventionMismatch("composed basis differs from the canonical basis")
 
     if not (chi @ tensor.relations).is_zero():
         raise ConventionMismatch("composition map does not kill the balancing relations")
@@ -561,6 +562,9 @@ def pants_basis(p: int) -> H1Basis:
 
 def pants_iso(p: int, grading: Grading) -> GradedIso:
     """Z(pants_p) = (Z[E]/(E^2))^{(x) p} with the coproduct left action."""
+    if p > MAX_STATE_H:
+        raise ParameterConstraintViolated(
+            f"pants_iso builds 2^p-dimensional spaces; p = {p} exceeds {MAX_STATE_H}")
     if grading.shift.a1 != 1:
         raise ParameterConstraintViolated("the pants identification needs A1 = 1")
     if grading.parity is None or grading.parity.n3 != 0:
@@ -684,21 +688,11 @@ def _right_monomial_action(bim: Bimodule, mask: int) -> IntMat:
 
 
 def _int_inverse(mat: IntMat) -> IntMat:
-    n = mat.nrows
-    dense = mat.to_dense()
-    sol = solve_exact(dense, [[1 if i == j else 0 for j in range(n)]
-                              for i in range(n)])
-    out = IntMat(n, n)
-    for j in range(n):
-        col = {}
-        for i in range(n):
-            v = sol[i][j]
-            if v.denominator != 1:
-                raise ConventionMismatch("unitor evaluation is not unimodular")
-            if v != 0:
-                col[i] = int(v)
-        out.set_col(j, col)
-    return out
+    """Inverse of a unimodular matrix: u @ mat @ v == I gives v @ u."""
+    sf = smith(mat, want_u=True, want_v=True)
+    if mat.nrows != mat.ncols or sf.rank != mat.nrows or not sf.is_free_quotient():
+        raise ConventionMismatch("unitor evaluation is not unimodular")
+    return sf.v @ sf.u
 
 
 def naturality_square(f_space: StateSpace, g_space: StateSpace) -> GradedIso:

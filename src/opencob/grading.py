@@ -88,7 +88,8 @@ def pi_half(surface: SuturedSurface) -> int:
             "2 * #(boundary circles meeting S-) mod 4 "
             f"(got {k.k6} vs 2*{k.k8 + k.k9})")
     d = delta_half(surface)
-    assert d.denominator == 1
+    if d.denominator != 1:
+        raise ValueError(f"half-integer grading {d} is not an integer")
     return d.numerator % 2
 
 

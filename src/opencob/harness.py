@@ -133,7 +133,7 @@ def random_composable_pair(rng: random.Random, bounds: Bounds = Bounds()):
         k = rng.randint(1, 3)
         f = random_surface(rng, bounds, prefix="f", require_intervals=k)
         fp = random_surface(rng, bounds, prefix="p", require_intervals=k)
-        if rank_h(f) + rank_h(fp) > 13:
+        if rank_h(f) + rank_h(fp) > statespace.MAX_STATE_H:
             continue
         f_int = list(f.interval_ids())
         interface_f = rng.sample(f_int, k)
@@ -511,11 +511,23 @@ DEFAULT_TRIALS = {
 }
 
 
-def run_suite(name: str, seed=0, trials=None, max_h=8) -> VerificationReport:
+def resolve_trials(name: str, trials=None) -> int:
+    """The suite's trial count: its default, or ``trials`` once checked."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if trials is None:
-        trials = DEFAULT_TRIALS[name]
+        return DEFAULT_TRIALS[name]
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
+    if name == "pants" and trials > statespace.MAX_STATE_H + 1:
+        raise ValueError(
+            f"pants trials run p = 0 .. trials-1 with p capped at "
+            f"{statespace.MAX_STATE_H}; got {trials} trials")
+    return trials
+
+
+def run_suite(name: str, seed=0, trials=None, max_h=8) -> VerificationReport:
+    trials = resolve_trials(name, trials)
     t0 = time.monotonic()
     report = SUITES[name](seed=seed, trials=trials, max_h=max_h)
     report.wall_time = time.monotonic() - t0

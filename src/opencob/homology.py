@@ -64,7 +64,9 @@ class H1Model:
         self.sminus_meeting = sminus_meeting
         self.index = {c: k for k, c in enumerate(self.coords)}
         self.rank = len(self.coords)
-        assert self.rank == rank_h(surface)
+        if self.rank != rank_h(surface):
+            raise ValueError(f"H_1 model has rank {self.rank}, expected "
+                             f"{rank_h(surface)}")
 
     def genus_class(self, ci: int, i: int):
         return {self.index[(GENUS, ci, i)]: 1}
@@ -225,12 +227,9 @@ def change_of_basis(from_basis: H1Basis, to_basis: H1Basis):
     if n == 0:
         return []
     sol = solve_exact(to_basis.matrix(), from_basis.matrix())
-    out = []
-    for row in sol:
-        if any(x.denominator != 1 for x in row):
-            raise IncompatibleBases("change of basis is not integral")
-        out.append([int(x) for x in row])
-    return out
+    if sol is None:
+        raise IncompatibleBases("change of basis is not integral")
+    return sol
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,20 @@
 Everything here works over arbitrary-precision Python ints.  Matrices are
 stored column-major as ``{col: {row: value}}`` with explicit shape, which
 suits the engine's highly sparse action/relation matrices.
+
+``smith`` is the one elimination kernel.  Ranks, invariant factors, the
+quotient bases of ``tensor_middle``, integral solutions (``solve_int``,
+``solve_exact``) and inverses of unimodular matrices all come from it.  It
+eliminates on +-1 pivots taken from a worklist of columns ordered by length,
+records the pivot positions instead of swapping rows and columns, and falls
+back to Euclidean steps only when no unit entry is left (after Dumas,
+Saunders and Villard, JSC 2001).  ``det_bareiss`` is the fraction-free
+determinant that validates homology bases.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import heapq
 
 
 class IntMat:
@@ -166,28 +175,40 @@ def det_bareiss(rows):
     return sign * a[n - 1][n - 1]
 
 
-def solve_exact(rows, rhs_cols):
-    """Solve A X = B over Q for dense integer A (square, invertible).
+def _axpy(dst, src, k):
+    """dst += k * src for sparse vectors {index: value}, in place (k != 0)."""
+    for i, v in src.items():
+        w = dst.get(i, 0) + k * v
+        if w:
+            dst[i] = w
+        else:
+            del dst[i]
 
-    Returns X as dense Fraction rows.  Used for change-of-basis between
-    unimodular bases, where the result is integral.
-    """
-    n = len(rows)
-    m = len(rhs_cols[0]) if n else 0
-    aug = [[Fraction(v) for v in rows[i]] + [Fraction(v) for v in rhs_cols[i]]
-           for i in range(n)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if aug[i][k] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix in solve_exact")
-        aug[k], aug[piv] = aug[piv], aug[k]
-        pv = aug[k][k]
-        aug[k] = [v / pv for v in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k]:
-                f = aug[i][k]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[k])]
-    return [row[n:n + m] for row in aug]
+
+def _mix(a, b, x, y, z, w):
+    """(x*a + y*b, z*a + w*b) for sparse vectors a, b."""
+    na: dict[int, int] = {}
+    nb: dict[int, int] = {}
+    for i in a.keys() | b.keys():
+        va, vb = a.get(i, 0), b.get(i, 0)
+        s = x * va + y * vb
+        if s:
+            na[i] = s
+        t = z * va + w * vb
+        if t:
+            nb[i] = t
+    return na, nb
+
+
+def _ext_gcd(a, b):
+    """(g, x, y) with x*a + y*b == g == gcd(a, b), for a, b > 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
 
 
 class SmithForm:
@@ -195,16 +216,18 @@ class SmithForm:
 
     ``u @ mat @ v == d`` with u, v unimodular and d diagonal with the
     divisibility chain d1 | d2 | ... .  Transform factors are computed only
-    when requested.
+    when requested.  ``vinv`` is never computed; it stays None so that code
+    reading all four transforms (``perfbench/spans.py``) keeps working.
     """
 
-    def __init__(self, diag, rank, u=None, uinv=None, v=None, vinv=None):
+    vinv = None
+
+    def __init__(self, diag, rank, u=None, uinv=None, v=None):
         self.diag = diag
         self.rank = rank
         self.u = u
         self.uinv = uinv
         self.v = v
-        self.vinv = vinv
 
     @property
     def invariant_factors(self):
@@ -215,245 +238,168 @@ class SmithForm:
         return all(d == 1 for d in self.invariant_factors)
 
 
-def smith(mat, want_u=False, want_uinv=False, want_v=False, want_vinv=False):
+def smith(mat, want_u=False, want_uinv=False, want_v=False):
     """Smith normal form of a sparse IntMat.
 
-    Pivots prefer +-1 entries with a Markowitz fill estimate; general
-    Euclidean steps only happen when no unit entry remains.
+    Pivot policy: columns wait in a heap keyed by their current length; the
+    shortest column holding a +-1 entry is eliminated on that entry, in its
+    shortest row (Markowitz fill).  Euclidean steps (division with remainder
+    by the smallest entry left) only happen once no unit entry remains.
+
+    Nothing is swapped: each pivot retires its row and column from the
+    active matrix, and the (row, column) pairs are applied as permutations
+    only when u, u^-1 and v are assembled at the end, unit pivots first.
+
+    Row operations always run.  Column operations run on the active matrix
+    only in Euclidean steps where a pivot row has an entry its pivot does
+    not divide; clearing a pivot row is recorded in v alone, so it is
+    skipped entirely when v is not requested (the rank-only calls).  Then
+    ``u @ mat`` is still ``d`` times a unimodular matrix, and its rows
+    ``rank..`` are zero.
     """
     nrows, ncols = mat.nrows, mat.ncols
-    # working copy, row- and column-major simultaneously
-    cols: dict[int, dict[int, int]] = {j: dict(c) for j, c in mat.cols.items()}
+    # the active matrix, row- and column-major; retired rows and columns leave
+    cols: dict[int, dict[int, int]] = {}
     rows: dict[int, dict[int, int]] = {}
-    for j, c in cols.items():
-        for i, v in c.items():
-            rows.setdefault(i, {})[j] = v
-
-    u = IntMat.identity(nrows) if want_u else None          # row-ops, row-major semantics
-    uinv = IntMat.identity(nrows) if want_uinv else None    # column ops (inverse row-ops)
-    v = IntMat.identity(ncols) if want_v else None          # col-ops
-    vinv = IntMat.identity(ncols) if want_vinv else None
-
-    # u is stored column-major too; a row operation R_i += k R_j acts on u the
-    # same way, which in column-major form is: for every col, col[i] += k*col[j].
-    # To keep that cheap we store u transposed (as rows of u = cols of u^T).
-    uT = IntMat.identity(nrows) if want_u else None
-    vinvT = IntMat.identity(ncols) if want_vinv else None
-
-    def set_entry(i, j, val):
-        if val:
-            cols.setdefault(j, {})[i] = val
-            rows.setdefault(i, {})[j] = val
-        else:
-            c = cols.get(j)
-            if c and i in c:
-                del c[i]
-                if not c:
-                    del cols[j]
-            r = rows.get(i)
-            if r and j in r:
-                del r[j]
-                if not r:
-                    del rows[i]
-
-    def row_op(i, j, k):
-        # R_i += k * R_j  on the working matrix and transforms
-        if k == 0:
-            return
-        for col_j, val in list(rows.get(j, {}).items()):
-            set_entry(i, col_j, cols.get(col_j, {}).get(i, 0) + k * val)
-        if uT is not None:
-            cj = uT.col(j)
-            ci = dict(uT.col(i))
-            for r, val in cj.items():
-                w = ci.get(r, 0) + k * val
-                if w:
-                    ci[r] = w
-                else:
-                    ci.pop(r, None)
-            uT.set_col(i, ci)
-        if uinv is not None:
-            # uinv <- uinv * (I - k E_ij): col_j -= k * col_i
-            ci = uinv.col(i)
-            cj = dict(uinv.col(j))
-            for r, val in ci.items():
-                w = cj.get(r, 0) - k * val
-                if w:
-                    cj[r] = w
-                else:
-                    cj.pop(r, None)
-            uinv.set_col(j, cj)
-
-    def col_op(j, i, k):
-        # C_j += k * C_i
-        if k == 0:
-            return
-        for row_i, val in list(cols.get(i, {}).items()):
-            set_entry(row_i, j, cols.get(j, {}).get(row_i, 0) + k * val)
-        if v is not None:
-            ci = v.col(i)
-            cj = dict(v.col(j))
-            for r, val in ci.items():
-                w = cj.get(r, 0) + k * val
-                if w:
-                    cj[r] = w
-                else:
-                    cj.pop(r, None)
-            v.set_col(j, cj)
-        if vinvT is not None:
-            # vinv <- (I - k E_ij) * vinv: row_i -= k * row_j, transposed storage
-            cj = vinvT.col(j)
-            ci = dict(vinvT.col(i))
-            for r, val in cj.items():
-                w = ci.get(r, 0) - k * val
-                if w:
-                    ci[r] = w
-                else:
-                    ci.pop(r, None)
-            vinvT.set_col(i, ci)
-
-    def row_swap(i, j):
-        if i == j:
-            return
-        ri, rj = rows.get(i, {}), rows.get(j, {})
-        for col_j in set(ri) | set(rj):
-            a = cols.get(col_j, {}).get(i, 0)
-            b = cols.get(col_j, {}).get(j, 0)
-            set_entry(i, col_j, b)
-            set_entry(j, col_j, a)
-        for m_ in (uT, uinv):
-            if m_ is not None:
-                a, b = m_.col(i), m_.col(j)
-                m_.set_col(i, b)
-                m_.set_col(j, a)
-
-    def col_swap(i, j):
-        if i == j:
-            return
-        a, b = cols.get(i, {}), cols.get(j, {})
-        ai = dict(a)
-        bi = dict(b)
-        for r in set(ai) | set(bi):
-            set_entry(r, i, bi.get(r, 0))
-            set_entry(r, j, ai.get(r, 0))
-        for m_ in (v, vinvT):
-            if m_ is not None:
-                a2, b2 = m_.col(i), m_.col(j)
-                m_.set_col(i, b2)
-                m_.set_col(j, a2)
-
-    def row_negate(i):
-        for col_j in list(rows.get(i, {})):
-            set_entry(i, col_j, -cols[col_j][i])
-        if uT is not None:
-            uT.set_col(i, {r: -val for r, val in uT.col(i).items()})
-        if uinv is not None:
-            uinv.set_col(i, {r: -val for r, val in uinv.col(i).items()})
-
-    diag = []
-    s = 0
-    limit = min(nrows, ncols)
-    while s < limit:
-        # pivot choice: unit entries first, smallest fill; else min |value|.
-        # The scan stops after a handful of unit candidates.
-        best = None
-        best_key = None
-        units_seen = 0
-        for j, c in cols.items():
-            if j < s:
-                continue
+    for j, c in mat.cols.items():
+        if c:
+            cols[j] = dict(c)
             for i, val in c.items():
-                if i < s:
-                    continue
-                if val == 1 or val == -1:
-                    units_seen += 1
-                    fill = (len(rows[i]) - 1) * (len(c) - 1)
-                    key = (False, 1, fill)
-                else:
-                    key = (True, abs(val), 0)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (i, j)
-                    if key[0] is False and fill == 0:
-                        break
+                rows.setdefault(i, {})[j] = val
+    urows = {i: {i: 1} for i in range(nrows)} if want_u else None  # rows of u
+    ucols = {i: {i: 1} for i in range(nrows)} if want_uinv else None
+    vcols = {j: {j: 1} for j in range(ncols)} if want_v else None
+    pivots = []  # (row, column, value) in elimination order
+
+    def row_op(i, p, f):
+        # R_i -= f * R_p on the active matrix, u and u^-1
+        ri = rows[i]
+        for j, a in rows[p].items():
+            w = ri.get(j, 0) - f * a
+            cj = cols[j]
+            if w:
+                ri[j] = w
+                cj[i] = w
             else:
-                if units_seen < 24:
-                    continue
-            break
-        if best is None:
-            break
-        bi, bj = best
-        row_swap(s, bi)
-        col_swap(s, bj)
+                del ri[j]
+                del cj[i]
+        if not ri:
+            del rows[i]
+        if urows is not None:
+            _axpy(urows[i], urows[p], -f)
+        if ucols is not None:
+            _axpy(ucols[p], ucols[i], f)
 
+    def retire(p, q, piv):
+        # column q is zero outside row p; what is left of row p is a multiple
+        # of piv, cleared by column operations recorded in v only
+        prow = rows.pop(p)
+        for j, a in prow.items():
+            cj = cols[j]
+            del cj[p]
+            if not cj:
+                del cols[j]
+            if vcols is not None and j != q:
+                _axpy(vcols[j], vcols[q], -(a // piv))
+        pivots.append((p, q, piv))
+
+    def unit_pivot(p, q):
+        piv = rows[p][q]
+        for i, b in [(i, b) for i, b in cols[q].items() if i != p]:
+            row_op(i, p, b * piv)
+        retire(p, q, piv)
+
+    def euclid_pivot():
+        _, p, q = min((abs(val), i, j) for j, c in cols.items() for i, val in c.items())
         while True:
-            pivot = cols.get(s, {}).get(s, 0)
-            assert pivot != 0
-            # clear column s
-            again = False
-            for i in [i for i in cols.get(s, {}) if i != s]:
-                val = cols[s][i]
-                q = val // pivot
-                row_op(i, s, -q)
-                if cols.get(s, {}).get(i, 0):
-                    # remainder smaller than pivot: swap it up and restart
-                    row_swap(s, i)
-                    again = True
-                    break
-            if again:
+            piv = rows[p][q]
+            for i, b in [(i, b) for i, b in cols[q].items() if i != p]:
+                if f := b // piv:
+                    row_op(i, p, f)
+            left = [i for i in cols[q] if i != p]
+            if left:
+                p = min(left, key=lambda i: abs(cols[q][i]))
                 continue
-            for j in [j for j in rows.get(s, {}) if j != s]:
-                val = rows[s][j]
-                q = val // pivot
-                col_op(j, s, -q)
-                if rows.get(s, {}).get(j, 0):
-                    col_swap(s, j)
-                    again = True
-                    break
-            if not again:
+            prow = rows[p]
+            bad = [(j, a) for j, a in prow.items() if a % piv]
+            if not bad:
                 break
-        if cols.get(s, {}).get(s, 0) < 0:
-            row_negate(s)
-        diag.append(cols[s][s])
-        s += 1
+            for j, a in bad:
+                # C_j -= (a // piv) * C_q touches only row p of the active matrix
+                t = a // piv
+                prow[j] = cols[j][p] = a - t * piv
+                if t and vcols is not None:
+                    _axpy(vcols[j], vcols[q], -t)
+            q = min((j for j, _ in bad), key=lambda j: abs(prow[j]))
+        retire(p, q, piv)
 
-    # divisibility chain fix-up
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(diag) - 1):
-            a, b = diag[k], diag[k + 1]
-            if b % a != 0:
-                # standard trick: fold d_{k+1} into column k and re-reduce the 2x2 block
-                col_op(k, k + 1, 1)
-                # block is now [[a, 0], [b, b]] in rows/cols k, k+1
-                while True:
-                    pa = cols.get(k, {}).get(k, 0)
-                    rem = cols.get(k, {}).get(k + 1, 0)
-                    if rem == 0:
-                        break
-                    q = rem // pa
-                    row_op(k + 1, k, -q)
-                    if cols.get(k, {}).get(k + 1, 0):
-                        row_swap(k, k + 1)
-                for j in [j for j in rows.get(k, {}) if j != k]:
-                    q = rows[k][j] // cols[k][k]
-                    col_op(j, k, -q)
-                for j in [j for j in rows.get(k + 1, {}) if j != k + 1]:
-                    q = rows[k + 1][j] // cols[k + 1][k + 1]
-                    col_op(j, k + 1, -q)
-                if cols.get(k, {}).get(k, 0) < 0:
-                    row_negate(k)
-                if cols.get(k + 1, {}).get(k + 1, 0) < 0:
-                    row_negate(k + 1)
-                diag[k] = cols[k][k]
-                diag[k + 1] = cols[k + 1][k + 1]
-                changed = True
+    while cols:
+        heap = [(len(c), j) for j, c in cols.items()]
+        heapq.heapify(heap)
+        while heap:
+            n, q = heapq.heappop(heap)
+            c = cols.get(q)
+            if c is None:
+                continue
+            if len(c) > n:
+                heapq.heappush(heap, (len(c), q))
+                continue
+            best = None
+            for i, val in c.items():
+                if (val == 1 or val == -1) and (
+                        best is None or len(rows[i]) < len(rows[best])):
+                    best = i
+            if best is not None:
+                unit_pivot(best, q)
+            # a column without a unit waits for the next pass
+        if cols and not any(val == 1 or val == -1
+                            for c in cols.values() for val in c.values()):
+            euclid_pivot()
 
+    # unit pivots first; signs into u; then the divisibility chain
+    pivots.sort(key=lambda t: abs(t[2]))
+    diag = []
+    for p, _, piv in pivots:
+        if piv < 0:
+            if urows is not None:
+                urows[p] = {k: -val for k, val in urows[p].items()}
+            if ucols is not None:
+                ucols[p] = {k: -val for k, val in ucols[p].items()}
+        diag.append(abs(piv))
     rank = len(diag)
-    u_out = uT.transpose() if want_u else None
-    vinv_out = vinvT.transpose() if want_vinv else None
-    return SmithForm(diag, rank, u=u_out, uinv=uinv, v=v, vinv=vinv_out)
+    first = next((k for k, d in enumerate(diag) if d != 1), rank)
+    for k in range(first, rank):
+        for l in range(k + 1, rank):
+            a, b = diag[k], diag[l]
+            if b % a == 0:
+                continue
+            # [[x, y], [-b/g, a/g]] diag(a, b) [[1, -y*b/g], [1, x*a/g]] = diag(g, lcm)
+            g, x, y = _ext_gcd(a, b)
+            (pk, qk, _), (pl, ql, _) = pivots[k], pivots[l]
+            if urows is not None:
+                urows[pk], urows[pl] = _mix(urows[pk], urows[pl], x, y, -b // g, a // g)
+            if ucols is not None:
+                ucols[pk], ucols[pl] = _mix(ucols[pk], ucols[pl], a // g, b // g, -y, x)
+            if vcols is not None:
+                vcols[qk], vcols[ql] = _mix(vcols[qk], vcols[ql], 1, 1, -y * b // g, x * a // g)
+            diag[k], diag[l] = g, a // g * b
+
+    u = uinv = v = None
+    if urows is not None or ucols is not None:
+        done = {p for p, _, _ in pivots}
+        order = [p for p, _, _ in pivots] + [i for i in range(nrows) if i not in done]
+        if urows is not None:
+            u = IntMat(nrows, nrows)
+            for k, r in enumerate(order):
+                for c, val in urows[r].items():
+                    u.cols.setdefault(c, {})[k] = val
+        if ucols is not None:
+            uinv = IntMat(nrows, nrows, {k: ucols[r] for k, r in enumerate(order)})
+    if vcols is not None:
+        done = {q for _, q, _ in pivots}
+        order = [q for _, q, _ in pivots] + [j for j in range(ncols) if j not in done]
+        v = IntMat(ncols, ncols, {k: vcols[c] for k, c in enumerate(order)})
+    return SmithForm(diag, rank, u=u, uinv=uinv, v=v)
 
 
 def smith_normal_form(rows):
@@ -471,6 +417,19 @@ def smith_normal_form(rows):
     return sf.u.to_dense(), d, sf.v.to_dense()
 
 
+def _solve_with(sf, rhs_vec):
+    # x = v d^-1 u rhs, when that is integral and rhs lies in the image
+    y: dict[int, int] = {}
+    for i, val in sf.u.apply(rhs_vec).items():
+        if i >= sf.rank:
+            return None
+        q, r = divmod(val, sf.diag[i])
+        if r:
+            return None
+        y[i] = q
+    return sf.v.apply(y)
+
+
 def solve_int(mat, rhs_vec, _cache=None):
     """Solve mat @ x = rhs over Z, or return None if no integral solution.
 
@@ -478,14 +437,26 @@ def solve_int(mat, rhs_vec, _cache=None):
     to amortize repeated solves against the same matrix.
     """
     sf = _cache if _cache is not None else smith(mat, want_u=True, want_v=True)
-    c = sf.u.apply(rhs_vec)
-    y: dict[int, int] = {}
-    for i, val in c.items():
-        if i < sf.rank:
-            d = sf.diag[i]
-            if val % d != 0:
-                return None
-            y[i] = val // d
-        elif val:
+    return _solve_with(sf, rhs_vec)
+
+
+def solve_exact(rows, rhs_cols):
+    """Solve A X = B over Z for a dense nonsingular square integer A.
+
+    Returns X as dense int rows, or None when some column of B has no
+    integral solution.  Raises ValueError when A is singular.
+    """
+    n = len(rows)
+    mat = IntMat.from_dense(rows)
+    sf = smith(mat, want_u=True, want_v=True)
+    if sf.rank != n or mat.ncols != n:
+        raise ValueError("singular matrix in solve_exact")
+    rhs = IntMat.from_dense(rhs_cols)
+    out = [[0] * rhs.ncols for _ in range(n)]
+    for j in range(rhs.ncols):
+        x = _solve_with(sf, rhs.col(j))
+        if x is None:
             return None
-    return sf.v.apply(y)
+        for i, val in x.items():
+            out[i][j] = val
+    return out

@@ -15,11 +15,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .grading import Grading
-from .homology import H1Basis, canonical_basis
+from .homology import H1Basis, IncompatibleBases, canonical_basis
 from .laurent import LaurentPoly
 from .snf import IntMat
 from .superalg import ActionRelationViolation, Bimodule, GradedMap, SuperAlgebra
 from .surface import NotAnInterval, SuturedSurface
+
+# Largest rank h whose 2^h-dimensional state space the verifier builds:
+# the composable pairs (h_p + h_f) and the pants p are capped at it.
+MAX_STATE_H = 13
 
 
 @dataclass
@@ -72,7 +76,8 @@ def build(surface: SuturedSurface, grading: Grading,
           basis: H1Basis | None = None) -> StateSpace:
     if basis is None:
         basis = canonical_basis(surface)
-    assert basis.model.surface == surface
+    if basis.model.surface != surface:
+        raise IncompatibleBases("basis belongs to a different surface")
     monos = monomial_order(len(basis))
     index = {m: k for k, m in enumerate(monos)}
     d0 = grading.delta(surface)

@@ -133,7 +133,8 @@ class AlgebraElement:
     def parity(self) -> int:
         if not self.terms:
             return 0
-        assert self.is_homogeneous()
+        if not self.is_homogeneous():
+            raise ValueError("parity of an inhomogeneous element")
         return popcount(self.terms[0][0]) & 1
 
 
@@ -511,8 +512,6 @@ def tensor_middle(x: Bimodule, y: Bimodule, check=True) -> TensorResult:
         rel_by_block[key].append(col)
 
     basis_meta = []
-    proj = IntMat(0, dim)
-    sect = IntMat(dim, 0)
     proj_cols_tmp: dict[int, dict[int, int]] = {}
     sect_cols: dict[int, dict[int, int]] = {}
     n_quot = 0

@@ -1,5 +1,6 @@
 import pytest
 
+from opencob import gluing
 from opencob.cli import main
 from opencob.surface import format_surface, open_pants, surface_fgp
 
@@ -57,6 +58,15 @@ class TestCompute:
         path.write_text("component A genus 0\ncircle A mixed a -\noutgoing a\n")
         assert main(["compute", str(path), "pi", "--preset", "half"]) == 2
 
+    @pytest.mark.parametrize("flag,value", [("--shift", "1/0,0,0,0"),
+                                            ("--shift", "x,0,0,0"),
+                                            ("--parity", "2,0,0,0")])
+    def test_bad_grading_flag_exit_2(self, fgp23_file, capsys, flag, value):
+        assert main(["compute", fgp23_file, "delta", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 class TestGlueCompose:
     def test_glue(self, tmp_path, capsys):
@@ -97,6 +107,21 @@ class TestVerify:
     def test_lemma_suite(self, capsys):
         assert main(["verify", "lemma-cases"]) == 0
         assert "failures: 0" in capsys.readouterr().out
+
+    def test_negative_trials_exit_2(self, capsys):
+        assert main(["verify", "theorem", "--trials", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_pants_trials_budget_exit_2(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("pants_iso must not run")
+        monkeypatch.setattr(gluing, "pants_iso", refuse)
+        assert main(["verify", "pants", "--trials", "15"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_theorem_smoke(self, capsys):
         assert main(["verify", "theorem", "--seed", "7", "--trials", "3"]) == 0

@@ -219,6 +219,15 @@ class TestPantsIso:
         assert iso.target.left_actions == reg.left_actions
         assert iso.target.right_actions == reg.right_actions
 
+    def test_size_budget(self, monkeypatch):
+        import opencob.gluing as gluing_module
+
+        def refuse(*args):
+            raise AssertionError("open_pants must not run")
+        monkeypatch.setattr(gluing_module, "open_pants", refuse)
+        with pytest.raises(ParameterConstraintViolated, match="exceeds 13"):
+            pants_iso(14, PRESET_TENSOR)
+
     def test_parameter_constraints(self):
         with pytest.raises(ParameterConstraintViolated):
             pants_iso(2, PRESET_HALF)

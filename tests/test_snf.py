@@ -5,7 +5,8 @@ from math import gcd
 import pytest
 
 from opencob.gluing import ConventionMismatch, _int_inverse
-from opencob.snf import IntMat, det_bareiss, smith, smith_normal_form, solve_int
+from opencob.snf import (IntMat, det_bareiss, smith, smith_normal_form,
+                         solve_exact, solve_int)
 
 
 def dense_mul(a, b):
@@ -71,9 +72,9 @@ class TestSmith:
             n, m = rng.randint(1, 8), rng.randint(1, 8)
             mat = IntMat.from_dense(
                 [[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)])
-            sf = smith(mat, want_u=True, want_uinv=True, want_v=True, want_vinv=True)
+            sf = smith(mat, want_u=True, want_uinv=True, want_v=True)
             assert sf.u @ sf.uinv == IntMat.identity(n)
-            assert sf.vinv @ sf.v == IntMat.identity(m)
+            assert abs(det_bareiss(sf.v.to_dense())) == 1
             d = sf.u @ mat @ sf.v
             for j, col in d.cols.items():
                 for i, val in col.items():
@@ -96,6 +97,12 @@ class TestSolve:
     def test_unsolvable(self):
         mat = IntMat.from_dense([[2]])
         assert solve_int(mat, {0: 1}) is None
+
+    def test_solve_exact(self):
+        assert solve_exact([[2, 1], [1, 1]], [[1, 0], [0, 1]]) == [[1, -1], [-1, 2]]
+        assert solve_exact([[2]], [[1]]) is None
+        with pytest.raises(ValueError):
+            solve_exact([[1, 1], [1, 1]], [[1], [1]])
 
 
 class TestIntMat:
