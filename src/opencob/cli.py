@@ -12,7 +12,7 @@ from fractions import Fraction
 from .grading import (PRESET_HALF, PRESET_TENSOR, Grading, ParityParams,
                       ParityUndefined, ShiftParams)
 from .gluing import compose_iso, self_glue_iso
-from .harness import SUITES, resolve_trials, run_suite
+from .harness import SUITES, check_max_h, resolve_trials, run_suite
 from .statespace import action_matrix, build, graded_superdim
 from .surface import SurfaceError, parse_surface, rank_h
 
@@ -161,6 +161,7 @@ def cmd_compose(args) -> int:
 def cmd_verify(args) -> int:
     try:
         trials = resolve_trials(args.suite, args.trials)
+        check_max_h(args.suite, args.max_h)
     except ValueError as exc:
         raise SystemExit2(str(exc))
     report = run_suite(args.suite, seed=args.seed, trials=trials,

@@ -17,8 +17,8 @@ from .grading import (PRESET_HALF, PRESET_TENSOR, Grading, ParityParams,
                       solve_constraints)
 from .homology import canonical_basis, cw_relative_h1
 from .statespace import build, graded_superdim
-from .surface import (BoundaryCircle, Component, SuturedSurface,
-                      format_surface, rank_h)
+from .surface import (BoundaryCircle, Component, SurfaceError,
+                      SuturedSurface, format_surface, rank_h)
 
 
 @dataclass(frozen=True)
@@ -161,71 +161,51 @@ def random_parity(rng: random.Random) -> ParityParams:
     return ParityParams(*(rng.randint(0, 1) for _ in range(4)))
 
 
-def shrink_surface(surface: SuturedSurface, predicate):
-    """Greedy shrink: drop components, circles, then arcs while the failure
-    predicate still holds."""
-    def rebuild(comps):
-        ids = tuple(i for c in comps for b in c.circles for i in b.plus_ids())
-        inc = tuple(s for s in surface.incoming if s in ids)
-        out = tuple(s for s in surface.outgoing if s in ids)
-        return SuturedSurface(tuple(comps), inc, out)
-
-    current = surface
-    changed = True
-    while changed:
-        changed = False
-        comps = list(current.components)
+def _smaller_components(comps):
+    """Component lists one step smaller than ``comps``: one component, then
+    one boundary circle, then one S+ arc of a mixed circle dropped."""
+    if len(comps) > 1:
         for ci in range(len(comps)):
-            cand_comps = comps[:ci] + comps[ci + 1:]
-            if not cand_comps:
+            yield comps[:ci] + comps[ci + 1:]
+    for ci, comp in enumerate(comps):
+        for bi in range(len(comp.circles)):
+            circles = comp.circles[:bi] + comp.circles[bi + 1:]
+            yield comps[:ci] + [Component(comp.genus, circles)] + comps[ci + 1:]
+    for ci, comp in enumerate(comps):
+        for bi, circ in enumerate(comp.circles):
+            ids = circ.plus_ids()
+            if circ.kind != "mixed" or len(ids) <= 1:
                 continue
+            for sid in ids:
+                circles = list(comp.circles)
+                circles[bi] = BoundaryCircle.mixed(*(s for s in ids if s != sid))
+                yield (comps[:ci] + [Component(comp.genus, tuple(circles))]
+                       + comps[ci + 1:])
+
+
+def shrink_surface(surface: SuturedSurface, predicate):
+    """Greedy shrink: move to the first smaller candidate on which the
+    failure predicate still holds, until none does.
+
+    Candidates that are not valid surfaces are skipped; an exception raised
+    by ``predicate`` propagates.
+    """
+    current = surface
+    while True:
+        for comps in _smaller_components(list(current.components)):
+            ids = {i for c in comps for b in c.circles for i in b.plus_ids()}
             try:
-                cand = rebuild(cand_comps)
-                if predicate(cand):
-                    current, changed = cand, True
-                    break
-            except Exception:
+                cand = SuturedSurface(
+                    tuple(comps),
+                    tuple(s for s in surface.incoming if s in ids),
+                    tuple(s for s in surface.outgoing if s in ids))
+            except SurfaceError:
                 continue
-        if changed:
-            continue
-        for ci, comp in enumerate(comps):
-            for bi in range(len(comp.circles)):
-                cand_circ = comp.circles[:bi] + comp.circles[bi + 1:]
-                cand_comps = list(comps)
-                cand_comps[ci] = Component(comp.genus, cand_circ)
-                try:
-                    cand = rebuild(cand_comps)
-                    if predicate(cand):
-                        current, changed = cand, True
-                        break
-                except Exception:
-                    continue
-            if changed:
+            if predicate(cand):
+                current = cand
                 break
-        if changed:
-            continue
-        for ci, comp in enumerate(comps):
-            for bi, circ in enumerate(comp.circles):
-                if circ.kind != "mixed" or len(circ.plus_ids()) <= 1:
-                    continue
-                for sid in circ.plus_ids():
-                    ids = [s for s in circ.plus_ids() if s != sid]
-                    cand_circ = list(comp.circles)
-                    cand_circ[bi] = BoundaryCircle.mixed(*ids)
-                    cand_comps = list(comps)
-                    cand_comps[ci] = Component(comp.genus, tuple(cand_circ))
-                    try:
-                        cand = rebuild(cand_comps)
-                        if predicate(cand):
-                            current, changed = cand, True
-                            break
-                    except Exception:
-                        continue
-                if changed:
-                    break
-            if changed:
-                break
-    return current
+        else:
+            return current
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +272,6 @@ def verify_theorem(seed=0, trials=200, max_h=8) -> VerificationReport:
     return report
 
 
-LEMMA_CASES = None  # populated lazily to keep import time low
-
-
 def lemma_case_instances():
     """The ten handcrafted instances, one per case and sub-case."""
     mk = BoundaryCircle.mixed
@@ -335,7 +312,7 @@ def verify_lemma_cases(seed=0, trials=None, max_h=None) -> VerificationReport:
     for t, (case, created, surf, i1, i2) in enumerate(instances):
         for grading in gradings:
             try:
-                res = gluing.self_glue_iso(surf, i1, i2, grading, full_check=True)
+                res = gluing.self_glue_iso(surf, i1, i2, grading)
                 if res.case_tag != case:
                     raise gluing.ConventionMismatch(
                         f"expected case {case}, got {res.case_tag}")
@@ -347,8 +324,9 @@ def verify_lemma_cases(seed=0, trials=None, max_h=None) -> VerificationReport:
                 if res.degree_shift != expected_shift:
                     raise gluing.ConventionMismatch(
                         f"degree shift {res.degree_shift} != {expected_shift}")
-                if res.iso is None:
-                    raise gluing.ConventionMismatch("explicit check skipped")
+                if res.checks[-1] != "unimodular":
+                    raise gluing.ConventionMismatch(
+                        f"gluing certified only by {res.checks}")
             except Exception as exc:
                 report.failures.append(Failure(
                     seed, t, f"case {case}: {type(exc).__name__}: {exc}",
@@ -526,8 +504,24 @@ def resolve_trials(name: str, trials=None) -> int:
     return trials
 
 
+def check_max_h(name: str, max_h: int) -> None:
+    """Refuse a ``max_h`` the suite's surface generator cannot meet.
+
+    Every suite refuses a negative bound.  ``theorem`` draws interfaces of
+    up to three intervals, and a surface carrying three intervals with
+    h <= 1 needs two or more components, which the generator rarely draws:
+    below 2 it gives up with no surface.
+    """
+    if max_h < 0:
+        raise ValueError(f"max-h must be non-negative, got {max_h}")
+    if name == "theorem" and max_h < 2:
+        raise ValueError(
+            f"theorem needs max-h >= 2 to draw composable pairs, got {max_h}")
+
+
 def run_suite(name: str, seed=0, trials=None, max_h=8) -> VerificationReport:
     trials = resolve_trials(name, trials)
+    check_max_h(name, max_h)
     t0 = time.monotonic()
     report = SUITES[name](seed=seed, trials=trials, max_h=max_h)
     report.wall_time = time.monotonic() - t0

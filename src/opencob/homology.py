@@ -126,7 +126,7 @@ class BasisElement:
     """One basis arc or circle, with its class in the model coordinates."""
 
     label: str
-    kind: str                 # "torus" | "boundary" | "arc" | "class"
+    kind: str                 # "torus" | "boundary" | "arc"
     data: tuple
     coords: tuple             # sorted ((coord index, value), ...)
 
@@ -151,10 +151,6 @@ def boundary_element(model: H1Model, ci: int, bi: int) -> BasisElement:
 def arc_element(model: H1Model, tail: str, head: str) -> BasisElement:
     return BasisElement(f"a:{tail}->{head}", "arc", (tail, head),
                         _freeze(model.arc_class(tail, head)))
-
-
-def class_element(model: H1Model, label: str, vec: dict) -> BasisElement:
-    return BasisElement(label, "class", (), _freeze(vec))
 
 
 @dataclass(frozen=True)

@@ -99,9 +99,6 @@ class LaurentPoly:
     def exponents_integral(self):
         return all(k % 2 == 0 for k in self.coeffs)
 
-    def evaluate_at_one(self):
-        return sum(self.coeffs.values())
-
     def __str__(self):
         if not self.coeffs:
             return "0"

@@ -139,13 +139,6 @@ class IntMat:
             out.set_col(jj, new)
         return out
 
-    def transpose(self):
-        out = IntMat(self.ncols, self.nrows)
-        for j, col in self.cols.items():
-            for i, v in col.items():
-                out.cols.setdefault(i, {})[j] = v
-        return out
-
     def __repr__(self):
         return f"IntMat({self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
@@ -430,14 +423,9 @@ def _solve_with(sf, rhs_vec):
     return sf.v.apply(y)
 
 
-def solve_int(mat, rhs_vec, _cache=None):
-    """Solve mat @ x = rhs over Z, or return None if no integral solution.
-
-    ``_cache`` may hold a precomputed ``smith(mat, want_u=True, want_v=True)``
-    to amortize repeated solves against the same matrix.
-    """
-    sf = _cache if _cache is not None else smith(mat, want_u=True, want_v=True)
-    return _solve_with(sf, rhs_vec)
+def solve_int(mat, rhs_vec):
+    """Solve mat @ x = rhs over Z, or return None if no integral solution."""
+    return _solve_with(smith(mat, want_u=True, want_v=True), rhs_vec)
 
 
 def solve_exact(rows, rhs_cols):

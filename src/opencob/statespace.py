@@ -18,7 +18,8 @@ from .grading import Grading
 from .homology import H1Basis, IncompatibleBases, canonical_basis
 from .laurent import LaurentPoly
 from .snf import IntMat
-from .superalg import ActionRelationViolation, Bimodule, GradedMap, SuperAlgebra
+from .superalg import (ActionRelationViolation, Bimodule, GradedMap,
+                       SuperAlgebra, bits)
 from .surface import NotAnInterval, SuturedSurface
 
 # Largest rank h whose 2^h-dimensional state space the verifier builds:
@@ -50,15 +51,8 @@ class StateSpace:
     def monomial_label(self, mask: int) -> str:
         if mask == 0:
             return "1"
-        labels = [self.basis.elements[i].label for i in _bits(mask)]
+        labels = [self.basis.elements[i].label for i in bits(mask)]
         return "^".join(labels)
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def monomial_order(h: int):
@@ -82,14 +76,13 @@ def build(surface: SuturedSurface, grading: Grading,
     index = {m: k for k, m in enumerate(monos)}
     d0 = grading.delta(surface)
     p0 = grading.pi(surface)
-    degrees = [d0 + popcount(m) for m in monos]
-    parities = [(p0 + popcount(m)) % 2 for m in monos]
+    # the word length fixes the degree; one shared Fraction per word length
+    # lets the degree-keyed dicts downstream match keys by identity
+    degree_of = [d0 + k for k in range(len(basis) + 1)]
+    degrees = [degree_of[m.bit_count()] for m in monos]
+    parities = [(p0 + m.bit_count()) % 2 for m in monos]
     return StateSpace(surface, grading, basis, monos, index,
                       d0, p0, degrees, parities, {})
-
-
-def popcount(x: int) -> int:
-    return bin(x).count("1")
 
 
 def e_action_columns(space: StateSpace, interval: str):
@@ -114,9 +107,9 @@ def e_action_columns(space: StateSpace, interval: str):
         if not hits:
             continue
         col: dict[int, int] = {}
-        k = popcount(mask)
-        for i in _bits(hits):
-            r = popcount(mask & ((1 << i) - 1))
+        k = mask.bit_count()
+        for i in bits(hits):
+            r = (mask & ((1 << i) - 1)).bit_count()
             inner = -1 if (r % 2 if outgoing else (k - 1 - r) % 2) else 1
             tgt = mask ^ (1 << i)
             w = col.get(tgt, 0) + outer * inner * phis[i]

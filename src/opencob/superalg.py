@@ -31,23 +31,20 @@ class ActionRelationViolation(AssertionError):
     pass
 
 
-def popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 def koszul_merge(s: int, t: int):
     """Normal-form product E_s * E_t: (sign, union mask), or None if it dies."""
     if s & t:
         return None
     sign = 1
-    for j in _bits(t):
+    for j in bits(t):
         # E_j moves past the factors of s in higher slots
-        if popcount(s >> (j + 1)) % 2:
+        if (s >> (j + 1)).bit_count() % 2:
             sign = -sign
     return sign, s | t
 
 
-def _bits(mask: int):
+def bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -68,15 +65,15 @@ class SuperAlgebra:
         return range(self.dim)
 
     def degree(self, mask: int) -> int:
-        return -popcount(mask)
+        return -mask.bit_count()
 
     def parity(self, mask: int) -> int:
-        return popcount(mask) & 1
+        return mask.bit_count() & 1
 
     def monomial_label(self, mask: int) -> str:
         if mask == 0:
             return "1"
-        return "".join(f"E{j+1}" for j in _bits(mask))
+        return "".join(f"E{j+1}" for j in bits(mask))
 
 
 @dataclass(frozen=True)
@@ -127,7 +124,7 @@ class AlgebraElement:
     __rmul__ = __mul__
 
     def is_homogeneous(self):
-        ps = {popcount(m) for m, _ in self.terms}
+        ps = {m.bit_count() for m, _ in self.terms}
         return len(ps) <= 1
 
     def parity(self) -> int:
@@ -135,7 +132,7 @@ class AlgebraElement:
             return 0
         if not self.is_homogeneous():
             raise ValueError("parity of an inhomogeneous element")
-        return popcount(self.terms[0][0]) & 1
+        return self.terms[0][0].bit_count() & 1
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -335,7 +332,7 @@ class AlgHom:
                 raise NotAHomomorphism(f"image of generator {k} does not square to zero")
             if el.terms and el.parity() != 1:
                 raise NotAHomomorphism(f"image of generator {k} is not odd")
-            if any(popcount(m) != 1 for m, _ in el.terms):
+            if any(m.bit_count() != 1 for m, _ in el.terms):
                 # degree -1 must be preserved
                 raise NotAHomomorphism(f"image of generator {k} is not of degree -1")
         for i, j in itertools.combinations(range(self.src.m), 2):
@@ -346,7 +343,7 @@ class AlgHom:
 
     def apply_monomial(self, mask: int) -> AlgebraElement:
         out = AlgebraElement.unit(self.dst)
-        for i in _bits(mask):
+        for i in bits(mask):
             out = multiply(out, self.images[i])
         return out
 
@@ -381,14 +378,6 @@ def symmetrizer_bimodule(m1: int, m2: int) -> Bimodule:
     perm = {i: m2 + i for i in range(m1)}
     perm.update({m1 + j: j for j in range(m2)})
     return hom_bimodule(slot_permutation_hom(m1 + m2, perm))
-
-
-def associator_bimodule(m1: int, m2: int, m3: int) -> Bimodule:
-    return hom_bimodule(identity_hom(SuperAlgebra(m1 + m2 + m3)))
-
-
-def unitor_bimodule(m: int) -> Bimodule:
-    return hom_bimodule(identity_hom(SuperAlgebra(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -654,14 +643,12 @@ class IsoFailure:
         return f"{self.reason}" + (f": {self.detail}" if self.detail else "")
 
 
-def is_graded_iso(matrix: IntMat, x: Bimodule, y: Bimodule,
-                  unimodularity="snf"):
+def is_graded_iso(matrix: IntMat, x: Bimodule, y: Bimodule):
     """Verify that ``matrix`` is an isomorphism of graded bimodules X -> Y.
 
-    Checks block compatibility, exact intertwining of every generator on
-    both sides, and per-block unimodularity (via Smith normal form, or
-    skipped when ``unimodularity='structural'`` and the caller has its own
-    surjectivity argument; rank agreement is still enforced).
+    Checks block compatibility, graded ranks, exact intertwining of every
+    generator on both sides, and that every graded block is unimodular
+    (Smith normal form).
     """
     if (x.left.m, x.right.m) != (y.left.m, y.right.m):
         return IsoFailure("algebra mismatch",
@@ -694,17 +681,14 @@ def is_graded_iso(matrix: IntMat, x: Bimodule, y: Bimodule,
                                   f"{side} generator {k}")
     checks.append("intertwining")
 
-    if unimodularity == "snf":
-        xi = x.block_indices()
-        yi = y.block_indices()
-        for key, src in xi.items():
-            sub = matrix.submatrix(yi[key], src)
-            sf = smith(sub)
-            if sf.rank != len(src) or not sf.is_free_quotient():
-                return IsoFailure(
-                    "not unimodular",
-                    f"block (degree {key[0]}, parity {key[1]})")
-        checks.append("unimodular")
-    else:
-        checks.append(f"unimodular[{unimodularity}]")
+    xi = x.block_indices()
+    yi = y.block_indices()
+    for key, src in xi.items():
+        sub = matrix.submatrix(yi[key], src)
+        sf = smith(sub)
+        if sf.rank != len(src) or not sf.is_free_quotient():
+            return IsoFailure(
+                "not unimodular",
+                f"block (degree {key[0]}, parity {key[1]})")
+    checks.append("unimodular")
     return GradedIso(matrix, x, y, tuple(checks))

@@ -1,6 +1,6 @@
 import pytest
 
-from opencob import gluing
+from opencob import gluing, harness
 from opencob.cli import main
 from opencob.surface import format_surface, open_pants, surface_fgp
 
@@ -113,6 +113,26 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "theorem", "--trials", "2", "--max-h", "-1"],
+        ["verify", "theorem", "--trials", "2", "--max-h", "0"],
+        ["verify", "theorem", "--trials", "2", "--max-h", "1"],
+        ["verify", "homology-oracle", "--max-h", "-1"],
+        ["verify", "constraints", "--max-h", "-1"],
+    ])
+    def test_bad_max_h_exit_2(self, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no suite may run")
+        monkeypatch.setitem(harness.SUITES, argv[1], refuse)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_max_h_zero_homology_oracle(self, capsys):
+        assert main(["verify", "homology-oracle", "--trials", "5", "--max-h", "0"]) == 0
+        assert "failures: 0" in capsys.readouterr().out
 
     def test_pants_trials_budget_exit_2(self, capsys, monkeypatch):
         def refuse(*args):

@@ -6,14 +6,17 @@ import pytest
 from opencob.grading import (PRESET_HALF, PRESET_TENSOR, Grading,
                              ParityParams, ShiftParams)
 from opencob.gluing import (CASE_DEGREE_SHIFT, ConventionMismatch,
-                            ParameterConstraintViolated, compose_iso,
+                            ParameterConstraintViolated, WedgeMap,
+                            _cols_of_dense, certify_unimodular, compose_iso,
                             identity_iso, naturality_square, pants_iso,
                             quotient_oracle, self_glue_iso, symmetrizer_iso,
                             union_iso)
 from opencob.harness import (Bounds, lemma_case_instances,
                              random_composable_pair, random_surface)
-from opencob.statespace import build, graded_superdim
-from opencob.superalg import GradedIso
+from opencob.homology import adapted_basis, change_of_basis
+from opencob.snf import IntMat, smith
+from opencob.statespace import action_matrix, bimodule_of, build, graded_superdim
+from opencob.superalg import Bimodule, GradedIso, SuperAlgebra, is_graded_iso
 from opencob.surface import (BoundaryCircle, Component, NotOutgoing,
                              SuturedSurface, compose, disjoint_union,
                              identity_cobordism, open_pants, rank_h)
@@ -31,17 +34,99 @@ def surf(comps):
 GENERIC = Grading(ShiftParams(F(1, 3), 2, F(-1, 2), 5), ParityParams(1, 0, 1, 1))
 
 
+def quotient_representatives(res, i1, i2):
+    """The surviving adapted monomials and q, their columns in Z(F)."""
+    space = res.source_space
+    adapted = adapted_basis(space.surface, i1, i2)
+    if res.case_tag in ("1-1", "2-1b", "2-2b"):
+        survivors = list(space.monomials)
+    else:
+        survivors = [m for m in space.monomials if m & 1]
+    from_adapted = WedgeMap(_cols_of_dense(change_of_basis(adapted.basis, space.basis))
+                            if space.h else [])
+    q = IntMat(space.dim, len(survivors))
+    for jq, amask in enumerate(survivors):
+        q.set_col(jq, {space.index[m]: c
+                       for m, c in from_adapted.expand(amask).items()})
+    return survivors, q
+
+
+def explicit_quotient_iso(res, i1, i2):
+    """Reference check of a self-gluing, independent of its certificate.
+
+    Builds Z(F)/im(E1+E2) as a bimodule on the surviving adapted monomials:
+    the remaining generators act on q and are reduced back onto q modulo the
+    relations by one Smith normal form of [q | E1+E2].  Then psi @ q must be
+    a graded bimodule isomorphism onto Z(F-bar).
+    """
+    space, target, rel = res.source_space, res.target_space, res.relations
+    survivors, q = quotient_representatives(res, i1, i2)
+    stacked = IntMat(space.dim, q.ncols + rel.ncols)
+    for j, col in q.cols.items():
+        stacked.set_col(j, dict(col))
+    for j, col in rel.cols.items():
+        stacked.set_col(q.ncols + j, dict(col))
+    sf = smith(stacked, want_u=True, want_v=True)
+
+    def reduce_to_quotient(vec):
+        y = {}
+        for i, val in sf.u.apply(vec).items():
+            assert i < sf.rank and val % sf.diag[i] == 0, "not in span(q) + im(E1+E2)"
+            y[i] = val // sf.diag[i]
+        return {k: v for k, v in sf.v.apply(y).items() if k < q.ncols}
+
+    surface = space.surface
+    remaining = [s for s in surface.outgoing if s not in (i1, i2)
+                 and surface.is_interval(s)]
+    lefts = []
+    for sid in remaining:
+        e_mat = action_matrix(space, sid)
+        act = IntMat(len(survivors), len(survivors))
+        for jq in range(len(survivors)):
+            act.set_col(jq, reduce_to_quotient(e_mat.apply(q.col(jq))))
+        lefts.append(act)
+    quotient = Bimodule(SuperAlgebra(len(remaining)), SuperAlgebra(0),
+                        [space.degrees[space.index[m]] for m in survivors],
+                        [space.parities[space.index[m]] for m in survivors],
+                        lefts, [], label="Z(F)/im(E1+E2)")
+    return is_graded_iso(res.psi @ q, quotient, bimodule_of(target))
+
+
 class TestSelfGlue:
     @pytest.mark.parametrize("case,created,s,i1,i2", [
         (c, n, s, a, b) for c, n, s, a, b in lemma_case_instances()])
     def test_all_cases(self, case, created, s, i1, i2):
         for grading in (PRESET_TENSOR, GENERIC):
-            res = self_glue_iso(s, i1, i2, grading, full_check=True)
+            res = self_glue_iso(s, i1, i2, grading)
             assert res.case_tag == case
             assert res.created_sminus_circles == created
             assert res.degree_shift == CASE_DEGREE_SHIFT[case]
             assert res.parity_shift == (rank_h(s) - rank_h(res.glued_surface)) % 2
-            assert isinstance(res.iso, GradedIso)
+            assert res.checks[-1] == "unimodular"
+            assert isinstance(explicit_quotient_iso(res, i1, i2), GradedIso)
+
+    @pytest.mark.parametrize("case,created,s,i1,i2", [
+        (c, n, s, a, b) for c, n, s, a, b in lemma_case_instances()])
+    def test_certificate_refuses_a_doubled_column(self, case, created, s, i1, i2):
+        res = self_glue_iso(s, i1, i2, GENERIC)
+        survivors, q = quotient_representatives(res, i1, i2)
+        words = [m.bit_count() - CASE_DEGREE_SHIFT[case] for m in survivors]
+        row_words = [m.bit_count() for m in res.target_space.monomials]
+        certify_unimodular(res.psi @ q, words, row_words, case)
+        j = len(survivors) - 1
+        q.set_col(j, {i: 2 * v for i, v in q.col(j).items()})
+        with pytest.raises(ConventionMismatch, match="not unimodular"):
+            certify_unimodular(res.psi @ q, words, row_words, case)
+
+    def test_certificate_refuses_a_missing_column(self):
+        s = surf([Component(0, (mk("i1", "x", "i2", "y"),))])
+        res = self_glue_iso(s, "i1", "i2", PRESET_TENSOR)
+        survivors, q = quotient_representatives(res, "i1", "i2")
+        words = [m.bit_count() - CASE_DEGREE_SHIFT[res.case_tag] for m in survivors]
+        row_words = [m.bit_count() for m in res.target_space.monomials]
+        short = q.submatrix(range(q.nrows), range(q.ncols - 1))
+        with pytest.raises(ConventionMismatch, match="sizes"):
+            certify_unimodular(res.psi @ short, words[:-1], row_words, res.case_tag)
 
     def test_case_2_1b_relations_vanish(self):
         s = surf([Component(0, (mk("i1", "i2"),))])
@@ -68,9 +153,8 @@ class TestSelfGlue:
     def test_sigma_sign_flag(self):
         s = surf([Component(0, (mk("i1", "x", "i2", "y"),))])
         for sign in (1, -1):
-            res = self_glue_iso(s, "i1", "i2", PRESET_TENSOR,
-                                sigma_sign=sign, full_check=True)
-            assert isinstance(res.iso, GradedIso)
+            res = self_glue_iso(s, "i1", "i2", PRESET_TENSOR, sigma_sign=sign)
+            assert isinstance(explicit_quotient_iso(res, "i1", "i2"), GradedIso)
 
     def test_requires_all_outgoing(self):
         s = SuturedSurface((Component(0, (mk("i1", "i2", "z"),)),),
@@ -179,6 +263,8 @@ class TestComposeIso:
                     continue
                 res = compose_iso(fp, f, grading)
                 assert isinstance(res.iso, GradedIso)
+                assert res.iso.checks[-1] == "unimodular"
+                assert all(step.checks[-1] == "unimodular" for step in res.steps)
                 assert res.superdim() == res.tensor.bimodule.superdim()
 
     def test_generic_params(self):

@@ -1,9 +1,11 @@
 import random
 
+import pytest
+
 from opencob.harness import (Bounds, VerificationReport, lemma_case_instances,
                              random_composable_pair, random_surface,
                              run_suite, shrink_surface)
-from opencob.surface import (compose_preflight, rank_h, validate)
+from opencob.surface import Component, compose_preflight, rank_h, validate
 
 
 class TestRandomSurface:
@@ -41,6 +43,33 @@ class TestShrinking:
         # removing anything more breaks the predicate, so it is small
         assert len(small.interval_ids()) <= len(s.interval_ids())
         assert len(small.components) <= len(s.components)
+
+    def test_invalid_candidate_is_skipped(self, monkeypatch):
+        import opencob.harness as harness_module
+        from opencob.surface import BoundaryCircle, SurfaceError, SuturedSurface
+        first = Component(0, (BoundaryCircle.mixed("a", "b"),))
+        s = SuturedSurface((first, Component(1, (BoundaryCircle.mixed("c"),))),
+                           (), ("a", "b", "c"))
+
+        def guarded_surface(comps, inc, out):
+            # pretend every candidate that alters the first component is invalid
+            if first not in comps:
+                raise SurfaceError("candidate refused")
+            return SuturedSurface(comps, inc, out)
+        monkeypatch.setattr(harness_module, "SuturedSurface", guarded_surface)
+        small = shrink_surface(s, lambda surface: True)
+        assert small.components == (first,)
+        assert small.outgoing == ("a", "b")
+
+    def test_predicate_error_propagates(self):
+        rng = random.Random(11)
+        s = random_surface(rng, Bounds(max_h=8))
+
+        def pred(surface):
+            return 1 // 0
+
+        with pytest.raises(ZeroDivisionError):
+            shrink_surface(s, pred)
 
     def test_shrink_failing_pair_keeps_interface(self):
         from opencob.harness import shrink_failing_pair

@@ -232,15 +232,12 @@ class TestHoms:
         assert bim.right_actions[1] == reg.right_actions[0]
 
     def test_associator_and_unitors_are_regular(self):
-        from opencob.superalg import associator_bimodule, unitor_bimodule
-        assoc = associator_bimodule(1, 1, 1)
-        reg = regular_bimodule(A3)
-        assert assoc.left_actions == reg.left_actions
-        assert assoc.right_actions == reg.right_actions
-        unit = unitor_bimodule(2)
-        reg2 = regular_bimodule(A2)
-        assert unit.left_actions == reg2.left_actions
-        assert unit.right_actions == reg2.right_actions
+        # the associator and unitor bimodules are X_id
+        for algebra in (A2, A3):
+            bim = hom_bimodule(identity_hom(algebra))
+            reg = regular_bimodule(algebra)
+            assert bim.left_actions == reg.left_actions
+            assert bim.right_actions == reg.right_actions
 
 
 class TestIsGradedIso:
