@@ -22,7 +22,7 @@ for case, created, surf, i1, i2 in lemma_case_instances():
         print("     " + line)
     print(f"   degree shift {res.degree_shift}, parity shift {res.parity_shift}")
     print(f"   quotient basis: {', '.join(res.quotient_basis)}")
-    table = {f"deg {k[0]}": v[2] for k, v in sorted(res.oracle.blocks.items())
+    table = {f"deg {k[0]}": v[2] for k, v in sorted(res.oracle.by_degree().items())
              if v[2]}
     print(f"   oracle ranks: {table}")
     print(f"   verification: {', '.join(res.checks)}")

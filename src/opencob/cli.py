@@ -56,9 +56,7 @@ def _load_surface(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return parse_surface(fh.read())
-    except OSError as exc:
-        raise SystemExit2(str(exc))
-    except SurfaceError as exc:
+    except (OSError, SurfaceError) as exc:
         raise SystemExit2(str(exc))
 
 
@@ -82,7 +80,7 @@ def cmd_compute(args) -> int:
             print(f"pi = {grading.pi(surf)}")
         elif what == "superdim":
             space = build(surf, grading)
-            print(f"superdim = {graded_superdim(space)}")
+            print(f"superdim = {_superdim(space)}")
         elif what == "actions":
             space = build(surf, grading)
             print(f"basis: {', '.join(space.basis.labels()) or '(empty)'}")
@@ -104,15 +102,19 @@ def cmd_compute(args) -> int:
     return 0
 
 
-def _print_iso_summary(tag, created, degree_shift, parity_shift, oracle):
-    print(f"case: {tag}")
-    print(f"created S- circles: {created}")
-    print(f"degree shift: {degree_shift}")
-    print(f"parity shift: {parity_shift}")
-    print("graded ranks (degree, parity): ambient -> quotient")
-    for key in sorted(oracle.blocks):
-        dim, rel, coker = oracle.blocks[key]
-        print(f"  ({key[0]}, {key[1]}): {dim} -> {coker}")
+def _superdim(space):
+    """Degrees off the half-integer grid are a usage error."""
+    try:
+        return graded_superdim(space)
+    except ValueError as exc:
+        raise SystemExit2(str(exc))
+
+
+def _print_matrix(title, mat):
+    print(title)
+    for j in sorted(mat.cols):
+        for i, v in sorted(mat.col(j).items()):
+            print(f"  [{i},{j}] = {v}")
 
 
 def cmd_glue(args) -> int:
@@ -122,14 +124,17 @@ def cmd_glue(args) -> int:
         res = self_glue_iso(surf, args.i1, args.i2, grading)
     except (SurfaceError, ParityUndefined) as exc:
         raise SystemExit2(str(exc))
-    _print_iso_summary(res.case_tag, res.created_sminus_circles,
-                       res.degree_shift, res.parity_shift, res.oracle)
+    print(f"case: {res.case_tag}")
+    print(f"created S- circles: {res.created_sminus_circles}")
+    print(f"degree shift: {res.degree_shift}")
+    print(f"parity shift: {res.parity_shift}")
+    print("graded ranks (degree, parity): ambient -> quotient")
+    for (d, p), (dim, _, coker) in sorted(res.oracle.by_degree().items()):
+        print(f"  ({d}, {p}): {dim} -> {coker}")
     print(f"quotient basis: {', '.join(res.quotient_basis)}")
     if args.matrix:
-        print("iso matrix (quotient representatives -> Z(glued)):")
-        for j in sorted(res.psi.cols):
-            for i, v in sorted(res.psi.col(j).items()):
-                print(f"  [{i},{j}] = {v}")
+        _print_matrix("iso matrix (quotient representatives -> Z(glued)):",
+                      res.psi)
     print("verified: yes")
     return 0
 
@@ -142,18 +147,14 @@ def cmd_compose(args) -> int:
         res = compose_iso(fp, f, grading)
     except (SurfaceError, ParityUndefined) as exc:
         raise SystemExit2(str(exc))
+    superdim = _superdim(res.composed_space)
     print(f"cases: {', '.join(res.case_tags)}")
-    print(f"composite superdim = {res.superdim()}")
-    blocks = res.tensor.bimodule.block_dims()
+    print(f"composite superdim = {superdim}")
     print("tensor-product graded ranks:")
-    for key in sorted(blocks):
-        print(f"  ({key[0]}, {key[1]}): {blocks[key]}")
+    for (d, p), n in sorted(res.tensor.bimodule.block_dims().items()):
+        print(f"  ({d}, {p}): {n}")
     if args.matrix:
-        print("iso matrix (tensor basis -> Z(composite)):")
-        m = res.iso.matrix
-        for j in sorted(m.cols):
-            for i, v in sorted(m.col(j).items()):
-                print(f"  [{i},{j}] = {v}")
+        _print_matrix("iso matrix (tensor basis -> Z(composite)):", res.iso.matrix)
     print("verified: yes")
     return 0
 

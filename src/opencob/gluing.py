@@ -9,9 +9,7 @@ step disagrees, which must never happen.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .grading import Grading
 from .homology import (AdaptedBasis, H1Basis, adapted_basis, arc_element,
@@ -20,8 +18,8 @@ from .homology import (AdaptedBasis, H1Basis, adapted_basis, arc_element,
 from .snf import IntMat, smith
 from .statespace import (MAX_STATE_H, StateSpace, action_matrix, bimodule_of,
                          build, graded_superdim)
-from .superalg import (Bimodule, GradedIso, IsoFailure, SuperAlgebra,
-                       TensorResult, bits, coproduct_left_action,
+from .superalg import (Bimodule, GradedIso, GradedMap, Grades, IsoFailure,
+                       SuperAlgebra, TensorResult, bits, coproduct_left_action,
                        external_tensor, hom_bimodule, identity_hom,
                        is_graded_iso, regular_bimodule, symmetrizer_bimodule,
                        tensor_middle)
@@ -91,8 +89,13 @@ class WedgeMap:
 class QuotientOracle:
     """Per-block Smith-normal-form data for Z(F)/im(E1+E2)."""
 
-    blocks: dict      # (degree, parity) -> (ambient dim, relation rank, coker rank)
+    offset: object    # delta(F), the degree of word length 0
+    blocks: dict      # (word length, parity) -> (ambient dim, relation rank, coker rank)
     factors: list     # all invariant factors encountered
+
+    def by_degree(self):
+        """``blocks`` keyed by (degree, parity), for output."""
+        return {(self.offset + w, p): v for (w, p), v in self.blocks.items()}
 
     def coker_rank(self):
         return sum(v[2] for v in self.blocks.values())
@@ -109,55 +112,34 @@ def quotient_oracle(space: StateSpace, i1: str, i2: str,
                     rel: IntMat | None = None) -> QuotientOracle:
     if rel is None:
         rel = _relation_matrix(space, i1, i2)
-    by_block: dict = {}
-    for idx in range(space.dim):
-        key = (space.degrees[idx], space.parities[idx])
-        by_block.setdefault(key, []).append(idx)
+    by_block = space.grades.blocks
     blocks = {}
     factors: list[int] = []
-    for key, rows in by_block.items():
-        src_key = (key[0] + 1, (key[1] + 1) % 2)
-        cols = by_block.get(src_key, [])
-        sub = rel.submatrix(rows, cols)
-        sf = smith(sub)
+    for (w, p), rows in by_block.items():
+        cols = by_block.get((w + 1, p ^ 1), [])
+        sf = smith(rel.submatrix(rows, cols))
         factors.extend(sf.invariant_factors)
-        blocks[key] = (len(rows), sf.rank, len(rows) - sf.rank)
-    return QuotientOracle(blocks, factors)
+        blocks[(w, p)] = (len(rows), sf.rank, len(rows) - sf.rank)
+    return QuotientOracle(space.delta, blocks, factors)
 
 
 # ---------------------------------------------------------------------------
 # self-gluing
 
 
-def _leaves_block(mat: IntMat, col_words, row_words):
-    """The first column j of ``mat`` with an entry in a row whose word
-    length is not ``col_words[j]``, or None."""
-    for j, col in mat.cols.items():
-        w = col_words[j]
-        if any(row_words[i] != w for i in col):
-            return j
-    return None
-
-
-def certify_unimodular(phi: IntMat, words, row_words, case: str):
-    """Check that ``phi``: Z^n -> Z(F-bar) is invertible over Z.
-
-    Column j of ``phi`` and row i have word lengths ``words[j]`` and
-    ``row_words[i]`` in the target's basis.  Within one state space the word
-    length of a monomial fixes its degree and parity, so ``phi`` must be
-    block-diagonal by word length with square blocks that together cover
-    every row.  Then ``phi`` is unimodular exactly when every block is,
-    which one rank-only Smith normal form decides.  Raises
-    ConventionMismatch otherwise.
-    """
-    if Counter(words) != Counter(row_words):
+def certify_unimodular(phi: IntMat, cols: Grades, rows: Grades, case: str):
+    """Check that ``phi``: Z^n -> Z(F-bar), graded by ``cols`` and ``rows``,
+    is invertible over Z: even of degree zero with square blocks covering
+    every row, and unimodular by one rank-only Smith normal form.  Raises
+    ConventionMismatch otherwise."""
+    if not cols.same_blocks(rows):
         raise ConventionMismatch(
-            f"case {case}: quotient basis sizes by word length "
-            f"{dict(Counter(words))} do not match Z(F-bar)")
-    bad = _leaves_block(phi, words, row_words)
+            f"case {case}: quotient basis sizes by (word length, parity) "
+            f"{cols.block_dims()} do not match Z(F-bar)")
+    bad = GradedMap(phi, 0, 0).check_blocks(cols, rows)
     if bad is not None:
         raise ConventionMismatch(
-            f"case {case}: psi on the quotient basis leaves column {bad}'s block")
+            f"case {case}: psi on the quotient basis leaves column {bad[0]}'s block")
     sf = smith(phi)
     if sf.rank != phi.ncols or not sf.is_free_quotient():
         raise ConventionMismatch(
@@ -175,7 +157,7 @@ class GlueIsoResult:
     relations: IntMat         # matrix of E1 + E2 on Z(F)
     quotient_basis: list      # surviving adapted monomial labels
     oracle: QuotientOracle
-    degree_shift: Fraction
+    degree_shift: int
     parity_shift: int
 
     # what every returned result has passed, in the order it is checked
@@ -339,22 +321,21 @@ def self_glue_iso(surface_or_space, i1: str, i2: str,
 
     # 2. the announced degree/parity shifts
     shift = CASE_DEGREE_SHIFT[case]
-    degree_shift = target.delta - space.delta
-    if degree_shift != shift:
+    if target.delta - space.delta != shift:
         raise ConventionMismatch(
-            f"case {case}: degree shift {degree_shift}, expected {shift}")
+            f"case {case}: degree shift {target.delta - space.delta}, "
+            f"expected {shift}")
     parity_shift = (target.parity0 - space.parity0) % 2
     if parity_shift != (space.h - target.h) % 2:
         raise ConventionMismatch(f"case {case}: parity shift {parity_shift}")
 
     # 3. even of degree zero: psi lowers the word length by the degree
     #    shift, which the parity shift must match
-    row_words = [m.bit_count() for m in target.monomials]
-    bad = _leaves_block(psi, [m.bit_count() - shift for m in space.monomials],
-                        row_words)
+    bad = GradedMap(psi, 0, 0).check_blocks(space.grades, target.grades)
     if bad is not None or (parity_shift - shift) % 2:
         raise ConventionMismatch(
-            f"case {case}: psi is not even of degree zero (column {bad})")
+            f"case {case}: psi is not even of degree zero "
+            f"(column {bad and bad[0]})")
 
     # 4. remaining generators intertwine on the nose and preserve im(E1+E2)
     remaining = [s for s in surface.outgoing if s not in (i1, i2)
@@ -375,13 +356,13 @@ def self_glue_iso(surface_or_space, i1: str, i2: str,
     if not oracle.is_free():
         raise ConventionMismatch(
             f"case {case}: quotient has torsion {oracle.factors}")
-    target_blocks: dict = {}
-    for d, p in zip(target.degrees, target.parities):
-        target_blocks[(d, p)] = target_blocks.get((d, p), 0) + 1
-    oracle_ranks = {k: v[2] for k, v in oracle.blocks.items() if v[2]}
+    target_blocks = target.grades.block_dims()
+    oracle_ranks = {(w - shift, p): v[2]
+                    for (w, p), v in oracle.blocks.items() if v[2]}
     if oracle_ranks != target_blocks:
         raise ConventionMismatch(
-            f"case {case}: quotient ranks {oracle_ranks} != target {target_blocks}")
+            f"case {case}: quotient ranks {oracle_ranks} != target "
+            f"{target_blocks} by (word length, parity)")
 
     if case in ("1-1", "2-1b", "2-2b"):
         survivors = list(space.monomials)
@@ -395,20 +376,16 @@ def self_glue_iso(surface_or_space, i1: str, i2: str,
     for jq, amask in enumerate(survivors):
         q.set_col(jq, {space.index[m]: c
                        for m, c in from_adapted.expand(amask).items()})
-    certify_unimodular(psi @ q, [m.bit_count() - shift for m in survivors],
-                       row_words, case)
+    certify_unimodular(psi @ q,
+                       space.grades.select([space.index[m] for m in survivors]),
+                       target.grades, case)
 
-    labels = []
-    for amask in survivors:
-        if amask == 0:
-            labels.append("1")
-        else:
-            labels.append("^".join(adapted.basis.elements[i].label
-                                   for i in bits(amask)))
+    labels = ["^".join(adapted.basis.elements[i].label for i in bits(m)) or "1"
+              for m in survivors]
 
     return GlueIsoResult(glue.surface, case, glue.created_sminus_circles,
                          space, target, psi, rel, labels, oracle,
-                         degree_shift, parity_shift)
+                         shift, parity_shift)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +408,26 @@ def _transport_basis(basis: H1Basis, model_bar, comp_offset: int, id_map):
         else:
             raise ValueError(f"cannot transport element {el.label}")
     return out
+
+
+def _union_space(a: StateSpace, b: StateSpace, surface: SuturedSurface,
+                 b_ids) -> StateSpace:
+    """Z(A u B) = Z(``surface``) on the concatenated bases; ``b_ids``
+    renames B's S+ ids."""
+    model = model_of(surface)
+    concat = _transport_basis(a.basis, model, 0, {}) + \
+        _transport_basis(b.basis, model, len(a.surface.components), b_ids)
+    return build(surface, a.grading, H1Basis(model, tuple(concat)))
+
+
+def _union_map(a: StateSpace, b: StateSpace, u: StateSpace) -> IntMat:
+    """Z(A) (x) Z(B) -> Z(A u B) = ``u``: x (x) y -> (-1)^{pi(B)|x|} x ^ y."""
+    mat = IntMat(u.dim, a.dim * b.dim)
+    for i, ma in enumerate(a.monomials):
+        sign = -1 if (ma.bit_count() * b.parity0) % 2 else 1
+        for j, mb in enumerate(b.monomials):
+            mat.set_col(i * b.dim + j, {u.index[ma | (mb << a.h)]: sign})
+    return mat
 
 
 @dataclass
@@ -463,24 +460,12 @@ def compose_iso(fp: SuturedSurface, f: SuturedSurface, grading: Grading, *,
 
     union, fmap = disjoint_union_with_maps(fp, f)
     g0 = SuturedSurface(union.components, (), union.splus_ids())
-    model_g = model_of(g0)
-    concat = _transport_basis(space_p.basis, model_g, 0, {}) + \
-        _transport_basis(space_f.basis, model_g, len(fp.components), fmap)
-    space_g = build(g0, grading, H1Basis(model_g, tuple(concat)))
-
-    hp = space_p.h
-    pi_f = space_f.parity0
-    phi = IntMat(space_g.dim, space_p.dim * space_f.dim)
-    for i, mp in enumerate(space_p.monomials):
-        sign = -1 if (mp.bit_count() * pi_f) % 2 else 1
-        for j, mf in enumerate(space_f.monomials):
-            g_mask = mp | (mf << hp)
-            phi.set_col(i * space_f.dim + j, {space_g.index[g_mask]: sign})
+    space_g = _union_space(space_p, space_f, g0, fmap)
 
     pairs = [(a, fmap[b]) for a, b in zip(fp.incoming, f.outgoing)]
     if order is None:
         order = range(len(pairs))
-    chi = phi
+    chi = _union_map(space_p, space_f, space_g)
     steps = []
     current = space_g
     for idx in order:
@@ -574,20 +559,10 @@ def union_iso(space_f: StateSpace, space_g: StateSpace) -> GradedIso:
     union, gmap = disjoint_union_with_maps(f, g)
     if any(k != v for k, v in gmap.items()):
         raise ValueError("disjoint-union witness needs disjoint S+ ids")
-    model_u = model_of(union)
-    concat = _transport_basis(space_f.basis, model_u, 0, {}) + \
-        _transport_basis(space_g.basis, model_u, len(f.components), {})
-    space_u = build(union, space_f.grading, H1Basis(model_u, tuple(concat)))
+    space_u = _union_space(space_f, space_g, union, {})
     ext = external_tensor(bimodule_of(space_f), bimodule_of(space_g))
-    hf = space_f.h
-    pi_g = space_g.parity0
-    mat = IntMat(space_u.dim, space_f.dim * space_g.dim)
-    for i, mf in enumerate(space_f.monomials):
-        sign = -1 if (mf.bit_count() * pi_g) % 2 else 1
-        for j, mg in enumerate(space_g.monomials):
-            mat.set_col(i * space_g.dim + j,
-                        {space_u.index[mf | (mg << hf)]: sign})
-    result = is_graded_iso(mat, ext, bimodule_of(space_u))
+    result = is_graded_iso(_union_map(space_f, space_g, space_u), ext,
+                           bimodule_of(space_u))
     if isinstance(result, IsoFailure):
         raise ConventionMismatch(f"disjoint-union witness failed: {result}")
     return result

@@ -127,8 +127,19 @@ def random_surface(rng: random.Random, bounds: Bounds = Bounds(), *,
     raise RuntimeError("random surface generation failed to meet the bounds")
 
 
+def check_pair_h(max_h: int) -> None:
+    """Refuse a ``max_h`` below 2: a surface carrying an interface of three
+    intervals with h <= 1 needs several components, which the generator
+    rarely draws, so ``random_composable_pair`` would give up."""
+    if max_h < 2:
+        raise ValueError(
+            f"max-h must be at least 2 to draw composable pairs, got {max_h}")
+
+
 def random_composable_pair(rng: random.Random, bounds: Bounds = Bounds()):
-    """(F', F) with outgoing(F) = incoming(F') an interval-only interface."""
+    """(F', F) with outgoing(F) = incoming(F') an interval-only interface;
+    ValueError if ``check_pair_h`` refuses ``bounds.max_h``."""
+    check_pair_h(bounds.max_h)
     for _ in range(200):
         k = rng.randint(1, 3)
         f = random_surface(rng, bounds, prefix="f", require_intervals=k)
@@ -507,16 +518,13 @@ def resolve_trials(name: str, trials=None) -> int:
 def check_max_h(name: str, max_h: int) -> None:
     """Refuse a ``max_h`` the suite's surface generator cannot meet.
 
-    Every suite refuses a negative bound.  ``theorem`` draws interfaces of
-    up to three intervals, and a surface carrying three intervals with
-    h <= 1 needs two or more components, which the generator rarely draws:
-    below 2 it gives up with no surface.
+    Every suite refuses a negative bound, and ``theorem`` one that
+    ``random_composable_pair`` refuses.
     """
     if max_h < 0:
         raise ValueError(f"max-h must be non-negative, got {max_h}")
-    if name == "theorem" and max_h < 2:
-        raise ValueError(
-            f"theorem needs max-h >= 2 to draw composable pairs, got {max_h}")
+    if name == "theorem":
+        check_pair_h(max_h)
 
 
 def run_suite(name: str, seed=0, trials=None, max_h=8) -> VerificationReport:

@@ -18,7 +18,7 @@ from .grading import Grading
 from .homology import H1Basis, IncompatibleBases, canonical_basis
 from .laurent import LaurentPoly
 from .snf import IntMat
-from .superalg import (ActionRelationViolation, Bimodule, GradedMap,
+from .superalg import (ActionRelationViolation, Bimodule, GradedMap, Grades,
                        SuperAlgebra, bits)
 from .surface import NotAnInterval, SuturedSurface
 
@@ -36,9 +36,16 @@ class StateSpace:
     index: dict              # bitmask -> position
     delta: Fraction
     parity0: int             # parity of the prefactor epsilon_F
-    degrees: list
-    parities: list
+    grades: Grades           # offset delta, words the word lengths
     action_cache: dict = None
+
+    @property
+    def degrees(self):
+        return self.grades.degrees
+
+    @property
+    def parities(self):
+        return self.grades.parities
 
     @property
     def h(self):
@@ -49,10 +56,7 @@ class StateSpace:
         return len(self.monomials)
 
     def monomial_label(self, mask: int) -> str:
-        if mask == 0:
-            return "1"
-        labels = [self.basis.elements[i].label for i in bits(mask)]
-        return "^".join(labels)
+        return "^".join(self.basis.elements[i].label for i in bits(mask)) or "1"
 
 
 def monomial_order(h: int):
@@ -76,17 +80,20 @@ def build(surface: SuturedSurface, grading: Grading,
     index = {m: k for k, m in enumerate(monos)}
     d0 = grading.delta(surface)
     p0 = grading.pi(surface)
-    # the word length fixes the degree; one shared Fraction per word length
-    # lets the degree-keyed dicts downstream match keys by identity
-    degree_of = [d0 + k for k in range(len(basis) + 1)]
-    degrees = [degree_of[m.bit_count()] for m in monos]
-    parities = [(p0 + m.bit_count()) % 2 for m in monos]
-    return StateSpace(surface, grading, basis, monos, index,
-                      d0, p0, degrees, parities, {})
+    words = [m.bit_count() for m in monos]
+    grades = Grades(d0, words, [(p0 + w) & 1 for w in words])
+    return StateSpace(surface, grading, basis, monos, index, d0, p0, grades, {})
 
 
-def e_action_columns(space: StateSpace, interval: str):
-    """Yield (source monomial mask, {target mask: coeff}) for E_interval."""
+def e_action(space: StateSpace, interval: str) -> GradedMap:
+    return GradedMap(action_matrix(space, interval), -1, 1)
+
+
+def action_matrix(space: StateSpace, interval: str) -> IntMat:
+    """The matrix of E_interval on Z(F), cached on the space."""
+    cached = space.action_cache.get(interval)
+    if cached is not None:
+        return cached
     surface = space.surface
     if interval in surface.outgoing:
         outgoing = True
@@ -102,37 +109,18 @@ def e_action_columns(space: StateSpace, interval: str):
     for i, v in enumerate(phis):
         if v:
             live |= 1 << i
+    index = space.index
+    mat = IntMat(space.dim, space.dim)
     for mask in space.monomials:
         hits = mask & live
         if not hits:
             continue
-        col: dict[int, int] = {}
         k = mask.bit_count()
-        for i in bits(hits):
+        col = mat.cols[index[mask]] = {}
+        for i in bits(hits):     # distinct i, distinct targets, phis[i] != 0
             r = (mask & ((1 << i) - 1)).bit_count()
             inner = -1 if (r % 2 if outgoing else (k - 1 - r) % 2) else 1
-            tgt = mask ^ (1 << i)
-            w = col.get(tgt, 0) + outer * inner * phis[i]
-            if w:
-                col[tgt] = w
-            else:
-                col.pop(tgt, None)
-        if col:
-            yield mask, col
-
-
-def e_action(space: StateSpace, interval: str) -> GradedMap:
-    return GradedMap(action_matrix(space, interval), Fraction(-1), 1)
-
-
-def action_matrix(space: StateSpace, interval: str) -> IntMat:
-    cached = space.action_cache.get(interval)
-    if cached is not None:
-        return cached
-    mat = IntMat(space.dim, space.dim)
-    for mask, col in e_action_columns(space, interval):
-        mat.set_col(space.index[mask],
-                    {space.index[t]: v for t, v in col.items()})
+            col[index[mask ^ (1 << i)]] = outer * inner * phis[i]
     space.action_cache[interval] = mat
     return mat
 
@@ -147,18 +135,15 @@ def bimodule_of(space: StateSpace) -> Bimodule:
     rights = [action_matrix(space, s) for s in right_ids]
     try:
         return Bimodule(SuperAlgebra(len(lefts)), SuperAlgebra(len(rights)),
-                        space.degrees, space.parities, lefts, rights,
+                        space.grades, lefts, rights,
                         label=f"Z({len(surface.components)} comps, h={space.h})")
     except ActionRelationViolation as exc:  # pragma: no cover - must never fire
         raise ActionRelationViolation(f"state-space action relations: {exc}")
 
 
 def graded_superdim(space: StateSpace) -> LaurentPoly:
-    out: dict[int, int] = {}
-    for d, p in zip(space.degrees, space.parities):
-        key = int(2 * d)
-        out[key] = out.get(key, 0) + (-1 if p else 1)
-    return LaurentPoly(out)
+    """Raises ValueError when the degrees are off the half-integer grid."""
+    return space.grades.superdim()
 
 
 def reference_dimension_fgp(g: int, p: int) -> LaurentPoly:

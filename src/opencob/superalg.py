@@ -9,9 +9,11 @@ the sign relations as exact matrix identities.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from fractions import Fraction
+import numbers
+from dataclasses import dataclass
+from functools import cached_property
 
+from .laurent import LaurentPoly
 from .snf import IntMat, smith
 
 
@@ -183,23 +185,97 @@ def right_mult_matrix(algebra: SuperAlgebra, elem: AlgebraElement) -> IntMat:
 
 
 # ---------------------------------------------------------------------------
-# graded maps and bimodules
+# graded bases, graded maps and bimodules
+
+
+@dataclass
+class Grades:
+    """Element i of a graded basis sits in degree ``offset + words[i]``
+    with parity ``parities[i]`` (0 or 1).  The degrees of one basis differ
+    by integers, so every block test and grouping works on the words."""
+
+    offset: numbers.Rational
+    words: list
+    parities: list
+
+    @cached_property
+    def degrees(self) -> list:
+        """The absolute degrees, for output."""
+        table = {w: self.offset + w for w in set(self.words)}
+        return [table[w] for w in self.words]
+
+    @cached_property
+    def blocks(self) -> dict:
+        """(word, parity) -> the indices of the basis elements in that block."""
+        out: dict[tuple, list] = {}
+        for i, key in enumerate(zip(self.words, self.parities)):
+            out.setdefault(key, []).append(i)
+        return out
+
+    def block_dims(self, gap=0) -> dict:
+        """(word + gap, parity) -> block size."""
+        return {(w + gap, p): len(ix) for (w, p), ix in self.blocks.items()}
+
+    def word_gap(self, other: "Grades", degree=0):
+        """The k with: a map of degree ``degree`` to ``other`` may send j to i
+        iff ``other.words[i] - self.words[j] == k``; None if it may not ever."""
+        gap = degree + self.offset - other.offset
+        return int(gap) if gap.denominator == 1 else None
+
+    def same_blocks(self, other: "Grades") -> bool:
+        """Whether both bases have equally many elements of every absolute
+        (degree, parity)."""
+        gap = self.word_gap(other)
+        if gap is None:
+            return not self.words and not other.words
+        return self.block_dims(gap) == other.block_dims()
+
+    def select(self, indices) -> "Grades":
+        return Grades(self.offset, [self.words[i] for i in indices],
+                      [self.parities[i] for i in indices])
+
+    def tensor(self, other: "Grades") -> "Grades":
+        """The basis of pairs; pair (i, j) is element ``i * len(other) + j``."""
+        return Grades(self.offset + other.offset,
+                      [a + b for a in self.words for b in other.words],
+                      [p ^ q for p in self.parities for q in other.parities])
+
+    def superdim(self) -> LaurentPoly:
+        """Sum of (-1)^parity t^degree; ValueError off the half-integer grid."""
+        base = 2 * self.offset
+        if base.denominator != 1:
+            raise ValueError(f"superdimension undefined: degree {self.offset} "
+                             f"is off the half-integer grid")
+        base = int(base)
+        out: dict[int, int] = {}
+        for w, p in zip(self.words, self.parities):
+            key = base + 2 * w
+            out[key] = out.get(key, 0) + (-1 if p else 1)
+        return LaurentPoly(out)
 
 
 @dataclass(frozen=True)
 class GradedMap:
-    """Integer matrix between graded bases with a declared (degree, parity)."""
+    """Integer matrix between graded bases with a declared integer
+    (degree, parity)."""
 
     matrix: IntMat
-    degree: Fraction
+    degree: int
     parity: int
 
-    def check_blocks(self, src_degrees, src_parities, dst_degrees, dst_parities):
+    def check_blocks(self, src: Grades, dst: Grades):
+        """The first entry (col, row, "degree" or "parity") that leaves its
+        (degree, parity) block, or None."""
+        gap = src.word_gap(dst, self.degree)
+        src_words, src_parities = src.words, src.parities
+        dst_words, dst_parities = dst.words, dst.parities
         for j, col in self.matrix.cols.items():
+            word = src_words[j]
+            parity = (src_parities[j] + self.parity) & 1
             for i in col:
-                if dst_degrees[i] - src_degrees[j] != self.degree:
+                if gap is None or dst_words[i] - word != gap:
                     return (j, i, "degree")
-                if (dst_parities[i] - src_parities[j] - self.parity) % 2:
+                if dst_parities[i] != parity:
                     return (j, i, "parity")
         return None
 
@@ -213,16 +289,15 @@ class Bimodule:
     """
 
     def __init__(self, left: SuperAlgebra, right: SuperAlgebra,
-                 degrees, parities, left_actions, right_actions,
+                 grades: Grades, left_actions, right_actions,
                  label="", check=True):
         self.left = left
         self.right = right
-        self.degrees = list(degrees)
-        self.parities = [p % 2 for p in parities]
+        self.grades = grades
         self.left_actions = list(left_actions)
         self.right_actions = list(right_actions)
         self.label = label
-        self.dim = len(self.degrees)
+        self.dim = len(grades.words)
         if len(self.left_actions) != left.m or len(self.right_actions) != right.m:
             raise AlgebraMismatch("generator count does not match the algebras")
         if check:
@@ -235,9 +310,7 @@ class Bimodule:
             if (a.nrows, a.ncols) != (self.dim, self.dim):
                 raise ActionRelationViolation(
                     f"{self.label}: {side} action {k} has wrong shape")
-            gm = GradedMap(a, Fraction(-1), 1)
-            bad = gm.check_blocks(self.degrees, self.parities,
-                                  self.degrees, self.parities)
+            bad = GradedMap(a, -1, 1).check_blocks(self.grades, self.grades)
             if bad is not None:
                 raise ActionRelationViolation(
                     f"{self.label}: {side} generator {k} is not odd of degree -1 "
@@ -258,38 +331,38 @@ class Bimodule:
                     raise ActionRelationViolation(
                         f"{self.label}: left {i} and right {j} do not commute")
 
-    def block_dims(self):
-        out: dict[tuple, int] = {}
-        for d, p in zip(self.degrees, self.parities):
-            out[(d, p)] = out.get((d, p), 0) + 1
-        return out
+    @property
+    def degrees(self):
+        return self.grades.degrees
 
-    def block_indices(self):
-        out: dict[tuple, list] = {}
-        for i, (d, p) in enumerate(zip(self.degrees, self.parities)):
-            out.setdefault((d, p), []).append(i)
-        return out
+    @property
+    def parities(self):
+        return self.grades.parities
+
+    def block_dims(self):
+        """(degree, parity) -> block size, for output."""
+        offset = self.grades.offset
+        return {(offset + w, p): n for (w, p), n in self.grades.block_dims().items()}
 
     def superdim(self):
-        from .laurent import LaurentPoly
-        out = LaurentPoly.zero()
-        for d, p in zip(self.degrees, self.parities):
-            out = out + LaurentPoly.term(-1 if p else 1, d)
-        return out
+        return self.grades.superdim()
 
     def __repr__(self):
         return (f"Bimodule({self.label or 'unnamed'}, dim={self.dim}, "
                 f"left=A({self.left.m}), right=A({self.right.m}))")
 
 
+def _algebra_grades(algebra: SuperAlgebra) -> Grades:
+    return Grades(0, [algebra.degree(m) for m in algebra.monomials()],
+                  [algebra.parity(m) for m in algebra.monomials()])
+
+
 def regular_bimodule(algebra: SuperAlgebra) -> Bimodule:
-    degrees = [Fraction(algebra.degree(m)) for m in algebra.monomials()]
-    parities = [algebra.parity(m) for m in algebra.monomials()]
     lefts = [left_mult_matrix(algebra, AlgebraElement.gen(algebra, i))
              for i in range(algebra.m)]
     rights = [right_mult_matrix(algebra, AlgebraElement.gen(algebra, i))
               for i in range(algebra.m)]
-    return Bimodule(algebra, algebra, degrees, parities, lefts, rights,
+    return Bimodule(algebra, algebra, _algebra_grades(algebra), lefts, rights,
                     label=f"A({algebra.m})")
 
 
@@ -302,14 +375,12 @@ def coproduct_left_action(p: int) -> Bimodule:
     """
     algebra = SuperAlgebra(p)
     one = SuperAlgebra(1)
-    degrees = [Fraction(algebra.degree(m)) for m in algebra.monomials()]
-    parities = [algebra.parity(m) for m in algebra.monomials()]
     delta_e = AlgebraElement.make(
         algebra, {1 << i: 1 for i in range(p)})
     lefts = [left_mult_matrix(algebra, delta_e)]
     rights = [right_mult_matrix(algebra, AlgebraElement.gen(algebra, i))
               for i in range(p)]
-    return Bimodule(one, algebra, degrees, parities, lefts, rights,
+    return Bimodule(one, algebra, _algebra_grades(algebra), lefts, rights,
                     label=f"Delta^{p}")
 
 
@@ -364,12 +435,10 @@ def slot_permutation_hom(src_m: int, perm) -> AlgHom:
 def hom_bimodule(f: AlgHom) -> Bimodule:
     """X_f: the target algebra with right action twisted through f."""
     b = f.dst
-    degrees = [Fraction(b.degree(m)) for m in b.monomials()]
-    parities = [b.parity(m) for m in b.monomials()]
     lefts = [left_mult_matrix(b, AlgebraElement.gen(b, i)) for i in range(b.m)]
     rights = [right_mult_matrix(b, f.apply_monomial(1 << i))
               for i in range(f.src.m)]
-    return Bimodule(b, f.src, degrees, parities, lefts, rights,
+    return Bimodule(b, f.src, _algebra_grades(b), lefts, rights,
                     label="X_f")
 
 
@@ -381,7 +450,31 @@ def symmetrizer_bimodule(m1: int, m2: int) -> Bimodule:
 
 
 # ---------------------------------------------------------------------------
-# tensor products
+# tensor products: pair (i, j) of X (x) Y is basis element i * dim(Y) + j
+
+
+def _on_first(act: IntMat, dim_y: int, signs=None) -> IntMat:
+    """act (x) 1 on the pair space, times ``signs[j]`` on the pairs (., j)."""
+    dim = act.ncols * dim_y
+    out = IntMat(dim, dim)
+    for jx, col in act.cols.items():
+        for jy in range(dim_y):
+            s = 1 if signs is None else signs[jy]
+            out.set_col(jx * dim_y + jy,
+                        {ix * dim_y + jy: s * v for ix, v in col.items()})
+    return out
+
+
+def _on_second(act: IntMat, dim_x: int, signs=None) -> IntMat:
+    """1 (x) act on the pair space, times ``signs[i]`` on the pairs (i, .)."""
+    dim_y = act.ncols
+    out = IntMat(dim_x * dim_y, dim_x * dim_y)
+    for jy, col in act.cols.items():
+        for jx in range(dim_x):
+            s = 1 if signs is None else signs[jx]
+            out.set_col(jx * dim_y + jy,
+                        {jx * dim_y + iy: s * v for iy, v in col.items()})
+    return out
 
 
 def external_tensor(x: Bimodule, y: Bimodule, check=True) -> Bimodule:
@@ -392,43 +485,13 @@ def external_tensor(x: Bimodule, y: Bimodule, check=True) -> Bimodule:
     """
     left = SuperAlgebra(x.left.m + y.left.m)
     right = SuperAlgebra(x.right.m + y.right.m)
-    dim = x.dim * y.dim
-
-    def pair(i, j):
-        return i * y.dim + j
-
-    degrees = [Fraction(0)] * dim
-    parities = [0] * dim
-    for i in range(x.dim):
-        for j in range(y.dim):
-            degrees[pair(i, j)] = x.degrees[i] + y.degrees[j]
-            parities[pair(i, j)] = (x.parities[i] + y.parities[j]) % 2
-
-    def expand_first(act: IntMat, sign_by_y=None):
-        out = IntMat(dim, dim)
-        for jx, col in act.cols.items():
-            for jy in range(y.dim):
-                s = 1 if sign_by_y is None else sign_by_y[jy]
-                out.set_col(pair(jx, jy),
-                            {pair(ix, jy): s * v for ix, v in col.items()})
-        return out
-
-    def expand_second(act: IntMat, sign_by_x=None):
-        out = IntMat(dim, dim)
-        for jy, col in act.cols.items():
-            for jx in range(x.dim):
-                s = 1 if sign_by_x is None else sign_by_x[jx]
-                out.set_col(pair(jx, jy),
-                            {pair(jx, iy): s * v for iy, v in col.items()})
-        return out
-
-    x_par_sign = [-1 if p else 1 for p in x.parities]
-    y_par_sign = [-1 if p else 1 for p in y.parities]
-    lefts = [expand_first(a) for a in x.left_actions]
-    lefts += [expand_second(a, sign_by_x=x_par_sign) for a in y.left_actions]
-    rights = [expand_first(a, sign_by_y=y_par_sign) for a in x.right_actions]
-    rights += [expand_second(a) for a in y.right_actions]
-    return Bimodule(left, right, degrees, parities, lefts, rights,
+    x_signs = [-1 if p else 1 for p in x.parities]
+    y_signs = [-1 if p else 1 for p in y.parities]
+    lefts = [_on_first(a, y.dim) for a in x.left_actions]
+    lefts += [_on_second(a, x.dim, x_signs) for a in y.left_actions]
+    rights = [_on_first(a, y.dim, y_signs) for a in x.right_actions]
+    rights += [_on_second(a, x.dim) for a in y.right_actions]
+    return Bimodule(left, right, x.grades.tensor(y.grades), lefts, rights,
                     label=f"({x.label})(x)({y.label})", check=check)
 
 
@@ -440,8 +503,6 @@ class TensorResult:
     projection: IntMat        # ambient pair space -> quotient
     section: IntMat           # quotient -> ambient representatives
     relations: IntMat         # columns spanning the balancing submodule
-    ambient_degrees: list = field(default_factory=list)
-    ambient_parities: list = field(default_factory=list)
 
 
 def middle_relations(x: Bimodule, y: Bimodule) -> IntMat:
@@ -480,34 +541,21 @@ def tensor_middle(x: Bimodule, y: Bimodule, check=True) -> TensorResult:
     """
     rel = middle_relations(x, y)
     dim = x.dim * y.dim
-
-    def pair(i, j):
-        return i * y.dim + j
-
-    degrees = [Fraction(0)] * dim
-    parities = [0] * dim
-    for i in range(x.dim):
-        for j in range(y.dim):
-            degrees[pair(i, j)] = x.degrees[i] + y.degrees[j]
-            parities[pair(i, j)] = (x.parities[i] + y.parities[j]) % 2
-
-    blocks: dict[tuple, list] = {}
-    for idx in range(dim):
-        blocks.setdefault((degrees[idx], parities[idx]), []).append(idx)
+    ambient = x.grades.tensor(y.grades)
+    blocks = ambient.blocks
     rel_by_block: dict[tuple, list] = {key: [] for key in blocks}
-    for jc, col in rel.cols.items():
+    for col in rel.cols.values():
         some = next(iter(col))
-        key = (degrees[some], parities[some])
-        rel_by_block[key].append(col)
+        rel_by_block[(ambient.words[some], ambient.parities[some])].append(col)
 
     basis_meta = []
     proj_cols_tmp: dict[int, dict[int, int]] = {}
     sect_cols: dict[int, dict[int, int]] = {}
     n_quot = 0
-    for key in sorted(blocks, key=lambda kp: (kp[0], kp[1])):
+    for key in sorted(blocks):
         idxs = blocks[key]
         local = {g: l for l, g in enumerate(idxs)}
-        rcols = rel_by_block.get(key, [])
+        rcols = rel_by_block[key]
         sub = IntMat(len(idxs), len(rcols))
         for jc, col in enumerate(rcols):
             sub.set_col(jc, {local[g]: v for g, v in col.items()})
@@ -515,9 +563,9 @@ def tensor_middle(x: Bimodule, y: Bimodule, check=True) -> TensorResult:
         bad = [d for d in sf.invariant_factors if d != 1]
         if bad:
             raise TorsionDetected(
-                f"block (degree {key[0]}, parity {key[1]}) has invariant factors {bad}")
+                f"block (degree {ambient.offset + key[0]}, parity {key[1]}) "
+                f"has invariant factors {bad}")
         r = sf.rank
-        n_free = len(idxs) - r
         # projection rows r.. of U; section columns r.. of U^{-1}
         for lc, col in sf.u.cols.items():
             g = idxs[lc]
@@ -528,41 +576,26 @@ def tensor_middle(x: Bimodule, y: Bimodule, check=True) -> TensorResult:
             sect_cols[n_quot + (f - r)] = {idxs[i]: v
                                            for i, v in sf.uinv.col(f).items()}
             basis_meta.append(key)
-        n_quot += n_free
+        n_quot += len(idxs) - r
 
     proj = IntMat(n_quot, dim, proj_cols_tmp)
     sect = IntMat(dim, n_quot, sect_cols)
 
-    q_degrees = [key[0] for key in basis_meta]
-    q_parities = [key[1] for key in basis_meta]
-
-    def induce(act: IntMat) -> IntMat:
-        out = proj @ act @ sect
-        return out
-
-    ambient_lefts = [IntMat(dim, dim) for _ in range(x.left.m)]
-    for k, a in enumerate(x.left_actions):
-        m_ = ambient_lefts[k]
-        for jx, col in a.cols.items():
-            for jy in range(y.dim):
-                m_.set_col(pair(jx, jy), {pair(ix, jy): v for ix, v in col.items()})
-    ambient_rights = [IntMat(dim, dim) for _ in range(y.right.m)]
-    for k, a in enumerate(y.right_actions):
-        m_ = ambient_rights[k]
-        for jy, col in a.cols.items():
-            for jx in range(x.dim):
-                m_.set_col(pair(jx, jy), {pair(jx, iy): v for iy, v in col.items()})
+    q_grades = Grades(ambient.offset, [key[0] for key in basis_meta],
+                      [key[1] for key in basis_meta])
+    ambient_lefts = [_on_first(a, y.dim) for a in x.left_actions]
+    ambient_rights = [_on_second(a, x.dim) for a in y.right_actions]
 
     for amb in ambient_lefts + ambient_rights:
         if not (proj @ amb @ rel).is_zero():
             raise ActionRelationViolation(
                 "outer action does not preserve the balancing submodule")
 
-    lefts = [induce(a) for a in ambient_lefts]
-    rights = [induce(a) for a in ambient_rights]
-    bim = Bimodule(x.left, y.right, q_degrees, q_parities, lefts, rights,
+    lefts = [proj @ a @ sect for a in ambient_lefts]
+    rights = [proj @ a @ sect for a in ambient_rights]
+    bim = Bimodule(x.left, y.right, q_grades, lefts, rights,
                    label=f"({x.label})(x)_B({y.label})", check=check)
-    return TensorResult(bim, proj, sect, rel, degrees, parities)
+    return TensorResult(bim, proj, sect, rel)
 
 
 def associativity_witness(x: Bimodule, y: Bimodule, z: Bimodule):
@@ -658,16 +691,14 @@ def is_graded_iso(matrix: IntMat, x: Bimodule, y: Bimodule):
     if (matrix.nrows, matrix.ncols) != (y.dim, x.dim):
         return IsoFailure("shape mismatch")
 
-    gm = GradedMap(matrix, Fraction(0), 0)
-    bad = gm.check_blocks(x.degrees, x.parities, y.degrees, y.parities)
+    bad = GradedMap(matrix, 0, 0).check_blocks(x.grades, y.grades)
     if bad is not None:
         j, i, what = bad
         return IsoFailure("not block-diagonal",
                           f"{what} jump at entry ({i},{j})")
 
-    xb = x.block_dims()
-    yb = y.block_dims()
-    if xb != yb:
+    if not x.grades.same_blocks(y.grades):
+        xb, yb = x.block_dims(), y.block_dims()
         diff = {k: (xb.get(k, 0), yb.get(k, 0))
                 for k in set(xb) | set(yb) if xb.get(k) != yb.get(k)}
         return IsoFailure("graded rank mismatch", str(diff))
@@ -681,14 +712,13 @@ def is_graded_iso(matrix: IntMat, x: Bimodule, y: Bimodule):
                                   f"{side} generator {k}")
     checks.append("intertwining")
 
-    xi = x.block_indices()
-    yi = y.block_indices()
-    for key, src in xi.items():
-        sub = matrix.submatrix(yi[key], src)
-        sf = smith(sub)
+    gap = x.grades.word_gap(y.grades)
+    dst = y.grades.blocks
+    for (w, p), src in x.grades.blocks.items():
+        sf = smith(matrix.submatrix(dst[(w + gap, p)], src))
         if sf.rank != len(src) or not sf.is_free_quotient():
             return IsoFailure(
                 "not unimodular",
-                f"block (degree {key[0]}, parity {key[1]})")
+                f"block (degree {x.grades.offset + w}, parity {p})")
     checks.append("unimodular")
     return GradedIso(matrix, x, y, tuple(checks))

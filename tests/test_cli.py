@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from opencob import gluing, harness
@@ -30,6 +32,16 @@ class TestCompute:
     def test_superdim_identity(self, identity_file, capsys):
         assert main(["compute", identity_file, "superdim", "--preset", "tensor"]) == 0
         assert capsys.readouterr().out.strip() == "superdim = 1 - t^-1"
+
+    def test_superdim_off_grid_exit_2(self, tmp_path, capsys):
+        # degrees -1/3 and 2/3 have no superdimension in powers of t^(1/2)
+        path = tmp_path / "f02.surf"
+        path.write_text(format_surface(surface_fgp(0, 2)))
+        assert main(["compute", str(path), "superdim", "--shift", "1/3,0,0,0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "half-integer grid" in captured.err
 
     def test_delta_half_f12(self, tmp_path, capsys):
         path = tmp_path / "f12.surf"
@@ -89,6 +101,22 @@ class TestGlueCompose:
         out = capsys.readouterr().out
         assert "verified: yes" in out
         assert "1 - t^-1" in out
+
+    def test_compose_superdim_off_grid_exit_2(self, tmp_path, capsys):
+        # h = 0 on both sides; the composite sits in degree -2/3
+        fp, f = harness.random_composable_pair(random.Random(43),
+                                               harness.Bounds(max_h=3))
+        files = []
+        for name, s in (("outer", fp), ("inner", f)):
+            path = tmp_path / f"{name}.surf"
+            path.write_text(format_surface(s))
+            files.append(str(path))
+        assert main(["compose", *files, "--shift", "1/3,0,0,0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "-2/3" in captured.err
+        assert main(["compose", *files, "--shift", "1/2,0,0,0"]) == 0
 
     def test_glue_matrix_flag(self, tmp_path, capsys):
         path = tmp_path / "rect.surf"

@@ -86,8 +86,7 @@ def explicit_quotient_iso(res, i1, i2):
             act.set_col(jq, reduce_to_quotient(e_mat.apply(q.col(jq))))
         lefts.append(act)
     quotient = Bimodule(SuperAlgebra(len(remaining)), SuperAlgebra(0),
-                        [space.degrees[space.index[m]] for m in survivors],
-                        [space.parities[space.index[m]] for m in survivors],
+                        space.grades.select([space.index[m] for m in survivors]),
                         lefts, [], label="Z(F)/im(E1+E2)")
     return is_graded_iso(res.psi @ q, quotient, bimodule_of(target))
 
@@ -110,23 +109,25 @@ class TestSelfGlue:
     def test_certificate_refuses_a_doubled_column(self, case, created, s, i1, i2):
         res = self_glue_iso(s, i1, i2, GENERIC)
         survivors, q = quotient_representatives(res, i1, i2)
-        words = [m.bit_count() - CASE_DEGREE_SHIFT[case] for m in survivors]
-        row_words = [m.bit_count() for m in res.target_space.monomials]
-        certify_unimodular(res.psi @ q, words, row_words, case)
+        space = res.source_space
+        cols = space.grades.select([space.index[m] for m in survivors])
+        rows = res.target_space.grades
+        certify_unimodular(res.psi @ q, cols, rows, case)
         j = len(survivors) - 1
         q.set_col(j, {i: 2 * v for i, v in q.col(j).items()})
         with pytest.raises(ConventionMismatch, match="not unimodular"):
-            certify_unimodular(res.psi @ q, words, row_words, case)
+            certify_unimodular(res.psi @ q, cols, rows, case)
 
     def test_certificate_refuses_a_missing_column(self):
         s = surf([Component(0, (mk("i1", "x", "i2", "y"),))])
         res = self_glue_iso(s, "i1", "i2", PRESET_TENSOR)
         survivors, q = quotient_representatives(res, "i1", "i2")
-        words = [m.bit_count() - CASE_DEGREE_SHIFT[res.case_tag] for m in survivors]
-        row_words = [m.bit_count() for m in res.target_space.monomials]
+        space = res.source_space
+        cols = space.grades.select([space.index[m] for m in survivors[:-1]])
         short = q.submatrix(range(q.nrows), range(q.ncols - 1))
         with pytest.raises(ConventionMismatch, match="sizes"):
-            certify_unimodular(res.psi @ short, words[:-1], row_words, res.case_tag)
+            certify_unimodular(res.psi @ short, cols, res.target_space.grades,
+                               res.case_tag)
 
     def test_case_2_1b_relations_vanish(self):
         s = surf([Component(0, (mk("i1", "i2"),))])

@@ -22,12 +22,21 @@ class TestRandomSurface:
             assert rank_h(s) <= 6
 
     def test_pairs_composable(self):
-        rng = random.Random(9)
-        for _ in range(20):
-            fp, f = random_composable_pair(rng, Bounds(max_h=8))
-            compose_preflight(fp, f)
-            assert 1 <= len(f.outgoing) <= 3
-            assert rank_h(f) <= 8 and rank_h(fp) <= 8
+        for max_h in (8, 2):
+            rng = random.Random(9)
+            for _ in range(20):
+                fp, f = random_composable_pair(rng, Bounds(max_h=max_h))
+                compose_preflight(fp, f)
+                assert 1 <= len(f.outgoing) <= 3
+                assert rank_h(f) <= max_h and rank_h(fp) <= max_h
+
+    @pytest.mark.parametrize("max_h", [-1, 0, 1])
+    def test_pairs_refuse_small_max_h_up_front(self, max_h):
+        rng = random.Random(0)
+        with pytest.raises(ValueError, match="max-h"):
+            random_composable_pair(rng, Bounds(max_h=max_h))
+        # refused before any draw: the generator's state is untouched
+        assert rng.getstate() == random.Random(0).getstate()
 
 
 class TestShrinking:

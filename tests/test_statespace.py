@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from opencob.grading import PRESET_HALF, PRESET_TENSOR
+from opencob.grading import (PRESET_HALF, PRESET_TENSOR, Grading,
+                             ShiftParams)
 from opencob.harness import Bounds, random_surface
 from opencob.homology import H1Basis, arc_element, model_of, torus_element
 from opencob.laurent import LaurentPoly
@@ -88,8 +89,7 @@ class TestEAction:
                 act = e_action(space, sid)
                 assert act.degree == -1 and act.parity == 1
                 assert (act.matrix @ act.matrix).is_zero()
-                assert act.check_blocks(space.degrees, space.parities,
-                                        space.degrees, space.parities) is None
+                assert act.check_blocks(space.grades, space.grades) is None
 
     def test_commutation_table(self):
         rng = random.Random(2)
@@ -167,6 +167,20 @@ class TestSuperdim:
                 got = graded_superdim(space)
                 assert got == reference_dimension_fgp(g, p)
                 assert got.exponents_integral()
+
+    def test_degrees_off_the_half_integer_grid_raise(self):
+        shifted = Grading(ShiftParams(F(1, 3), 0, 0, 0), PRESET_TENSOR.parity)
+        space = build(surface_fgp(0, 2), shifted)
+        assert sorted(space.degrees) == [F(-1, 3), F(2, 3)]
+        with pytest.raises(ValueError, match="half-integer grid"):
+            graded_superdim(space)
+        with pytest.raises(ValueError, match="half-integer grid"):
+            bimodule_of(space).superdim()
+        # half-integer degrees are on the grid
+        halved = Grading(ShiftParams(F(1, 2), 0, 0, 0), PRESET_TENSOR.parity)
+        space = build(surface_fgp(0, 2), halved)
+        assert str(graded_superdim(space)) == "t^1/2 - t^-1/2"
+        assert bimodule_of(space).superdim() == graded_superdim(space)
 
     def test_top_monomial_of_pants(self):
         for p in range(5):

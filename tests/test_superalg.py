@@ -7,7 +7,7 @@ import pytest
 from opencob.snf import IntMat
 from opencob.superalg import (ActionRelationViolation, AlgebraElement,
                               AlgebraMismatch, AlgHom, Bimodule, GradedIso,
-                              IsoFailure, NotAHomomorphism, SuperAlgebra,
+                              Grades, IsoFailure, NotAHomomorphism, SuperAlgebra,
                               TorsionDetected, coproduct_left_action,
                               external_tensor, hom_bimodule, identity_hom,
                               is_graded_iso, multiply, regular_bimodule,
@@ -91,13 +91,13 @@ class TestBimoduleValidation:
     def test_broken_square_detected(self):
         with pytest.raises(ActionRelationViolation):
             Bimodule(SuperAlgebra(1), SuperAlgebra(0),
-                     [Fraction(0), Fraction(-1)], [0, 1],
+                     Grades(Fraction(0), [0, -1], [0, 1]),
                      [IntMat.from_dense([[0, 1], [1, 0]])], [])
 
     def test_broken_degree_detected(self):
         with pytest.raises(ActionRelationViolation):
             Bimodule(SuperAlgebra(1), SuperAlgebra(0),
-                     [Fraction(0), Fraction(-2)], [0, 1],
+                     Grades(Fraction(0), [0, -2], [0, 1]),
                      [IntMat.from_dense([[0, 0], [1, 0]])], [])
 
 
@@ -161,10 +161,8 @@ class TestTensorMiddle:
         y = coproduct_left_action(1)
         # both have a trivial middle only if we view them over A(0); fake it
         # by tensoring bimodules with no middle generators
-        x0 = Bimodule(x.left, SuperAlgebra(0), x.degrees, x.parities,
-                      x.left_actions, [])
-        y0 = Bimodule(SuperAlgebra(0), y.right, y.degrees, y.parities,
-                      [], y.right_actions)
+        x0 = Bimodule(x.left, SuperAlgebra(0), x.grades, x.left_actions, [])
+        y0 = Bimodule(SuperAlgebra(0), y.right, y.grades, [], y.right_actions)
         t = tensor_middle(x0, y0)
         ext = external_tensor(x0, y0)
         assert t.bimodule.dim == ext.dim
@@ -187,11 +185,10 @@ class TestTensorMiddle:
 
     def test_torsion_detected(self):
         # doubled actions on both sides of the balancing relation leave a Z/2
-        deg = [Fraction(0), Fraction(-1)]
-        par = [0, 1]
+        grades = Grades(Fraction(0), [0, -1], [0, 1])
         two_n = IntMat.from_dense([[0, 0], [2, 0]])
-        x = Bimodule(SuperAlgebra(0), SuperAlgebra(1), deg, par, [], [two_n])
-        y = Bimodule(SuperAlgebra(1), SuperAlgebra(0), deg, par, [two_n], [])
+        x = Bimodule(SuperAlgebra(0), SuperAlgebra(1), grades, [], [two_n])
+        y = Bimodule(SuperAlgebra(1), SuperAlgebra(0), grades, [two_n], [])
         with pytest.raises(TorsionDetected):
             tensor_middle(x, y)
 
@@ -254,9 +251,34 @@ class TestIsGradedIso:
         assert isinstance(res, IsoFailure)
         assert res.reason == "not block-diagonal"
 
+    def test_degree_offsets_compared_as_absolute_degrees(self):
+        x = regular_bimodule(SuperAlgebra(1))
+        ident = IntMat.identity(x.dim)
+
+        def copy(offset, words):
+            return Bimodule(x.left, x.right, Grades(offset, words, x.parities),
+                            x.left_actions, x.right_actions)
+
+        for shift in (Fraction(1, 3), Fraction(1)):
+            shifted = copy(x.grades.offset + shift, x.grades.words)
+            assert [d + shift for d in x.degrees] == shifted.degrees
+            for src, dst in ((x, shifted), (shifted, x)):
+                res = is_graded_iso(ident, src, dst)
+                assert isinstance(res, IsoFailure)
+                assert res.reason == "not block-diagonal"
+            # the zero map leaves no block; the graded ranks still differ
+            res = is_graded_iso(IntMat(x.dim, x.dim), x, shifted)
+            assert res.reason == "graded rank mismatch"
+        # the same absolute degrees, written with another offset
+        for same in (copy(Fraction(0), x.grades.words),
+                     copy(Fraction(1), [w - 1 for w in x.grades.words])):
+            assert same.degrees == x.degrees
+            assert isinstance(is_graded_iso(ident, x, same), GradedIso)
+            assert isinstance(is_graded_iso(ident, same, x), GradedIso)
+
     def test_broken_intertwiner_named(self):
         x = regular_bimodule(SuperAlgebra(1))
-        y = Bimodule(x.left, x.right, x.degrees, x.parities,
+        y = Bimodule(x.left, x.right, x.grades,
                      [-x.left_actions[0]], list(x.right_actions))
         res = is_graded_iso(IntMat.identity(2), x, y)
         assert isinstance(res, IsoFailure)
@@ -264,7 +286,7 @@ class TestIsGradedIso:
 
     def test_non_unimodular_fails(self):
         a0 = SuperAlgebra(0)
-        x = Bimodule(a0, a0, [Fraction(0)] * 2, [0, 0], [], [])
+        x = Bimodule(a0, a0, Grades(Fraction(0), [0, 0], [0, 0]), [], [])
         mat = IntMat.from_dense([[1, 0], [0, 2]])
         res = is_graded_iso(mat, x, x)
         assert isinstance(res, IsoFailure)
