@@ -629,18 +629,22 @@ def symmetrizer_iso(labels1, labels2, grading: Grading) -> GradedIso:
     return result
 
 
-def _left_monomial_action(bim: Bimodule, mask: int) -> IntMat:
-    out = IntMat.identity(bim.dim)
-    for i in sorted(bits(mask), reverse=True):
-        out = bim.left_actions[i] @ out
-    return out
+def _monomial_actions(bim: Bimodule, side: str) -> list:
+    """The matrix of every monomial of the ``side`` ("left" or "right")
+    algebra acting on ``bim``, indexed by mask.
 
-
-def _right_monomial_action(bim: Bimodule, mask: int) -> IntMat:
-    out = IntMat.identity(bim.dim)
-    for i in bits(mask):
-        out = bim.right_actions[i] @ out
-    return out
+    E_{i1}...E_{ik} with i1 < ... < ik acts as L[i1] @ ... @ L[ik] from the
+    left and as R[ik] @ ... @ R[i1] from the right.  Each mask costs one
+    product with a generator and a smaller mask's action: the left side
+    splits off its lowest slot, the right side its highest.
+    """
+    left = side == "left"
+    gens = bim.left_actions if left else bim.right_actions
+    acts = [IntMat.identity(bim.dim)]
+    for mask in range(1, 1 << len(gens)):
+        i = (mask & -mask).bit_length() - 1 if left else mask.bit_length() - 1
+        acts.append(gens[i] @ acts[mask ^ (1 << i)])
+    return acts
 
 
 def _int_inverse(mat: IntMat) -> IntMat:
@@ -656,30 +660,27 @@ def naturality_square(f_space: StateSpace, g_space: StateSpace) -> GradedIso:
 
     Compares mu (x)_{A(M2) (x) A(M2')} (Z(F) (x) Z(F')) with
     Z(F u F') (x)_{A(M1 u M1')} mu via the union witness and the unitor
-    evaluations, and verifies the composite.
+    evaluations, and verifies the composite.  The external tensor
+    Z(F) (x) Z(F') and Z(F u F') are the source and target of the union
+    witness, so each is built and validated once.
     """
-    bim_f = bimodule_of(f_space)
-    bim_g = bimodule_of(g_space)
-    ext = external_tensor(bim_f, bim_g)
+    union_witness = union_iso(f_space, g_space)
+    ext, bim_u = union_witness.source, union_witness.target
     mu_out = hom_bimodule(identity_hom(SuperAlgebra(ext.left.m)))
     mu_in = hom_bimodule(identity_hom(SuperAlgebra(ext.right.m)))
     x = tensor_middle(mu_out, ext)
-    union_witness = union_iso(f_space, g_space)
-    bim_u = union_witness.target
     y = tensor_middle(bim_u, mu_in)
 
     # evaluate b (x) v -> b . v on X's representatives
     ev_x = IntMat(ext.dim, mu_out.dim * ext.dim)
-    for mask in range(mu_out.dim):
-        act = _left_monomial_action(ext, mask)
+    for mask, act in enumerate(_monomial_actions(ext, "left")):
         for e in range(ext.dim):
-            ev_x.set_col(mask * ext.dim + e, dict(act.col(e)))
+            ev_x.set_col(mask * ext.dim + e, act.col(e))
     # evaluate v (x) a -> v . a on Y's representatives
     ev_y = IntMat(bim_u.dim, bim_u.dim * mu_in.dim)
-    for e in range(bim_u.dim):
-        for mask in range(mu_in.dim):
-            act = _right_monomial_action(bim_u, mask)
-            ev_y.set_col(e * mu_in.dim + mask, dict(act.col(e)))
+    for mask, act in enumerate(_monomial_actions(bim_u, "right")):
+        for e in range(bim_u.dim):
+            ev_y.set_col(e * mu_in.dim + mask, act.col(e))
 
     x_to_ext = ev_x @ x.section
     y_to_u = ev_y @ y.section

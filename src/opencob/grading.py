@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .surface import SuturedSurface, counts, rank_h
+from .surface import CountVector, SuturedSurface, counts
 
 
 class ParityUndefined(ValueError):
@@ -48,9 +48,11 @@ class ParityParams:
 
 
 def delta(params: ShiftParams, surface: SuturedSurface) -> Fraction:
-    k = counts(surface)
-    h = rank_h(surface)
-    return (-params.a1 * h
+    return _delta(params, counts(surface))
+
+
+def _delta(params: ShiftParams, k: CountVector) -> Fraction:
+    return (-params.a1 * k.h
             + (params.a1 - 1) * k.k4
             + params.a2 * k.k5
             + params.a3 * k.k3
@@ -60,8 +62,7 @@ def delta(params: ShiftParams, surface: SuturedSurface) -> Fraction:
 
 def pi(params: ParityParams, surface: SuturedSurface) -> int:
     k = counts(surface)
-    h = rank_h(surface)
-    return (h + params.n1 * k.k5 + params.n2 * k.k3
+    return (k.h + params.n1 * k.k5 + params.n2 * k.k3
             + params.n3 * k.k6 + params.n4 * k.k7) % 2
 
 
@@ -76,18 +77,21 @@ def delta_half(surface: SuturedSurface) -> Fraction:
 
 def half_parity_defined(surface: SuturedSurface) -> bool:
     """The integrality condition: #S+ intervals = 2 #(S- -meeting circles) mod 4."""
-    k = counts(surface)
+    return _half_parity_defined(counts(surface))
+
+
+def _half_parity_defined(k: CountVector) -> bool:
     return (k.k6 - 2 * (k.k8 + k.k9)) % 4 == 0
 
 
 def pi_half(surface: SuturedSurface) -> int:
-    if not half_parity_defined(surface):
-        k = counts(surface)
+    k = counts(surface)
+    if not _half_parity_defined(k):
         raise ParityUndefined(
             "half-integer parity undefined: requires #S+ intervals == "
             "2 * #(boundary circles meeting S-) mod 4 "
             f"(got {k.k6} vs 2*{k.k8 + k.k9})")
-    d = delta_half(surface)
+    d = _delta(HALF_SHIFT, k)
     if d.denominator != 1:
         raise ValueError(f"half-integer grading {d} is not an integer")
     return d.numerator % 2

@@ -219,6 +219,8 @@ class Grades:
     def word_gap(self, other: "Grades", degree=0):
         """The k with: a map of degree ``degree`` to ``other`` may send j to i
         iff ``other.words[i] - self.words[j] == k``; None if it may not ever."""
+        if other is self:
+            return degree
         gap = degree + self.offset - other.offset
         return int(gap) if gap.denominator == 1 else None
 
@@ -586,13 +588,15 @@ def tensor_middle(x: Bimodule, y: Bimodule, check=True) -> TensorResult:
     ambient_lefts = [_on_first(a, y.dim) for a in x.left_actions]
     ambient_rights = [_on_second(a, x.dim) for a in y.right_actions]
 
+    acts = []
     for amb in ambient_lefts + ambient_rights:
-        if not (proj @ amb @ rel).is_zero():
+        proj_amb = proj @ amb
+        if not (proj_amb @ rel).is_zero():
             raise ActionRelationViolation(
                 "outer action does not preserve the balancing submodule")
+        acts.append(proj_amb @ sect)
 
-    lefts = [proj @ a @ sect for a in ambient_lefts]
-    rights = [proj @ a @ sect for a in ambient_rights]
+    lefts, rights = acts[:len(ambient_lefts)], acts[len(ambient_lefts):]
     bim = Bimodule(x.left, y.right, q_grades, lefts, rights,
                    label=f"({x.label})(x)_B({y.label})", check=check)
     return TensorResult(bim, proj, sect, rel)

@@ -238,6 +238,12 @@ class CountVector:
         return CountVector(*(a + b for a, b in
                              zip(self.as_tuple(), other.as_tuple())))
 
+    @property
+    def h(self) -> int:
+        """rank of H_1(F, S+; Z) from the combinatorial count formula."""
+        return (-2 * self.k1 + 2 * self.k2 + 2 * self.k3 + self.k4 + self.k5
+                + self.k6 + self.k7 + self.k8 + self.k9)
+
 
 def counts(surface: SuturedSurface) -> CountVector:
     k1 = len(surface.components)
@@ -266,9 +272,7 @@ def counts(surface: SuturedSurface) -> CountVector:
 
 def rank_h(surface: SuturedSurface) -> int:
     """rank of H_1(F, S+; Z) from the combinatorial count formula."""
-    k = counts(surface)
-    return (-2 * k.k1 + 2 * k.k2 + 2 * k.k3 + k.k4 + k.k5
-            + k.k6 + k.k7 + k.k8 + k.k9)
+    return counts(surface).h
 
 
 def euler_characteristic(surface: SuturedSurface) -> int:

@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
+import opencob.gluing as gluing
 from opencob.grading import (PRESET_HALF, PRESET_TENSOR, Grading,
                              ParityParams, ShiftParams)
 from opencob.gluing import (CASE_DEGREE_SHIFT, ConventionMismatch,
                             ParameterConstraintViolated, WedgeMap,
-                            _cols_of_dense, certify_unimodular, compose_iso,
+                            _cols_of_dense, _monomial_actions,
+                            certify_unimodular, compose_iso,
                             identity_iso, naturality_square, pants_iso,
                             quotient_oracle, self_glue_iso, symmetrizer_iso,
                             union_iso)
@@ -16,7 +19,8 @@ from opencob.harness import (Bounds, lemma_case_instances,
 from opencob.homology import adapted_basis, change_of_basis
 from opencob.snf import IntMat, smith
 from opencob.statespace import action_matrix, bimodule_of, build, graded_superdim
-from opencob.superalg import Bimodule, GradedIso, SuperAlgebra, is_graded_iso
+from opencob.superalg import (Bimodule, GradedIso, SuperAlgebra, bits,
+                              external_tensor, is_graded_iso)
 from opencob.surface import (BoundaryCircle, Component, NotOutgoing,
                              SuturedSurface, compose, disjoint_union,
                              identity_cobordism, open_pants, rank_h)
@@ -363,3 +367,65 @@ class TestMonoidalWitnesses:
             iso = naturality_square(build(f, PRESET_TENSOR),
                                     build(g, PRESET_TENSOR))
             assert isinstance(iso, GradedIso)
+
+
+def functor_pairs():
+    """Seeded disjoint pairs in the functor workload's size: the two state
+    spaces and the external tensor of their bimodules."""
+    rng = random.Random(8)
+    small = Bounds(max_components=1, max_genus=1, max_circles=2,
+                   max_arcs=2, max_h=3)
+    while True:
+        f = random_surface(rng, small, prefix="f", all_outgoing=False)
+        g = random_surface(rng, small, prefix="g", all_outgoing=False)
+        f_space, g_space = build(f, PRESET_TENSOR), build(g, PRESET_TENSOR)
+        yield f_space, g_space, external_tensor(bimodule_of(f_space),
+                                                bimodule_of(g_space))
+
+
+def explicit_monomial_action(bim, side, mask):
+    """E_{i1}...E_{ik} (i1 < ... < ik) acts as L[i1] @ ... @ L[ik] from the
+    left and as R[ik] @ ... @ R[i1] from the right."""
+    one = IntMat.identity(bim.dim)
+    if side == "left":
+        return reduce(lambda a, i: a @ bim.left_actions[i], bits(mask), one)
+    return reduce(lambda a, i: bim.right_actions[i] @ a, bits(mask), one)
+
+
+class TestMonomialActions:
+    def test_equal_the_explicit_products(self):
+        # two generators on each side whose products do not vanish, so that
+        # an order or a sign error shows
+        ext = next(e for _, _, e in functor_pairs()
+                   if e.left.m >= 2 and e.right.m >= 2 and all(
+                       not explicit_monomial_action(e, side, 3).is_zero()
+                       for side in ("left", "right")))
+        for side, m in (("left", ext.left.m), ("right", ext.right.m)):
+            acts = _monomial_actions(ext, side)
+            assert len(acts) == 1 << m
+            for mask, act in enumerate(acts):
+                assert act == explicit_monomial_action(ext, side, mask)
+
+    def test_no_generators_gives_the_identity(self):
+        ext = next(e for _, _, e in functor_pairs()
+                   if e.left.m == 0 and e.dim > 1)
+        assert _monomial_actions(ext, "left") == [IntMat.identity(ext.dim)]
+
+    def test_a_flipped_sign_fails_the_naturality_square(self, monkeypatch):
+        f_space, g_space, _ = next(p for p in functor_pairs()
+                                   if (p[2].left.m, p[2].right.m) == (1, 1))
+        naturality_square(f_space, g_space)
+        honest = gluing._monomial_actions
+
+        def flipped(bim, side):
+            acts = honest(bim, side)
+            if side == "right":
+                act = acts[1]
+                j = max(act.cols)
+                i = max(act.cols[j])
+                act.cols[j] = {**act.cols[j], i: -act.cols[j][i]}
+            return acts
+
+        monkeypatch.setattr(gluing, "_monomial_actions", flipped)
+        with pytest.raises(ConventionMismatch, match="naturality square failed"):
+            naturality_square(f_space, g_space)

@@ -100,6 +100,18 @@ class TestBimoduleValidation:
                      Grades(Fraction(0), [0, -2], [0, 1]),
                      [IntMat.from_dense([[0, 0], [1, 0]])], [])
 
+    def test_commuting_left_generators_detected(self):
+        # on the basis 1, E1, E2, E1E2 each generator adds its own slot with
+        # sign +1 and no Koszul sign, so they commute: E1 E2 + E2 E1 = 2 E1E2
+        e1 = IntMat(4, 4, {0: {1: 1}, 2: {3: 1}})
+        e2 = IntMat(4, 4, {0: {2: 1}, 1: {3: 1}})
+        bim = Bimodule(SuperAlgebra(2), SuperAlgebra(0),
+                       Grades(Fraction(0), [0, -1, -1, -2], [0, 1, 1, 0]),
+                       [e1, e2], [], label="commuting", check=False)
+        with pytest.raises(ActionRelationViolation,
+                           match="commuting: left generators 0,1 do not anticommute"):
+            bim.validate()
+
 
 class TestExternalTensor:
     def test_unit(self):
@@ -190,6 +202,18 @@ class TestTensorMiddle:
         x = Bimodule(SuperAlgebra(0), SuperAlgebra(1), grades, [], [two_n])
         y = Bimodule(SuperAlgebra(1), SuperAlgebra(0), grades, [two_n], [])
         with pytest.raises(TorsionDetected):
+            tensor_middle(x, y)
+
+    def test_outer_action_must_preserve_the_balancing_submodule(self):
+        # X is A(2) with left generator E1 and, as its right generator, left
+        # multiplication by E2: both anticommute instead of commuting, so the
+        # outer E1 moves the relation x.E (x) 1 - x (x) E off the submodule
+        a2 = regular_bimodule(SuperAlgebra(2))
+        x = Bimodule(SuperAlgebra(1), SuperAlgebra(1), a2.grades,
+                     a2.left_actions[:1], a2.left_actions[1:], check=False)
+        y = regular_bimodule(SuperAlgebra(1))
+        with pytest.raises(ActionRelationViolation, match="outer action does not "
+                           "preserve the balancing submodule"):
             tensor_middle(x, y)
 
 
