@@ -8,7 +8,8 @@ import opencob.gluing as gluing
 from opencob.grading import (PRESET_HALF, PRESET_TENSOR, Grading,
                              ParityParams, ShiftParams)
 from opencob.gluing import (CASE_DEGREE_SHIFT, ConventionMismatch,
-                            ParameterConstraintViolated, WedgeMap,
+                            ParameterConstraintViolated, QuotientOracle,
+                            WedgeMap,
                             _cols_of_dense, _monomial_actions,
                             certify_unimodular, compose_iso,
                             identity_iso, naturality_square, pants_iso,
@@ -19,8 +20,8 @@ from opencob.harness import (Bounds, lemma_case_instances,
 from opencob.homology import adapted_basis, change_of_basis
 from opencob.snf import IntMat, smith
 from opencob.statespace import action_matrix, bimodule_of, build, graded_superdim
-from opencob.superalg import (Bimodule, GradedIso, SuperAlgebra, bits,
-                              external_tensor, is_graded_iso)
+from opencob.superalg import (Bimodule, GradedIso, SuperAlgebra, TensorResult,
+                              bits, external_tensor, is_graded_iso)
 from opencob.surface import (BoundaryCircle, Component, NotOutgoing,
                              SuturedSurface, compose, disjoint_union,
                              identity_cobordism, open_pants, rank_h)
@@ -221,6 +222,54 @@ class TestQuotientOracle:
             oracle = quotient_oracle(build(s, PRESET_TENSOR), i1, i2)
             assert oracle.is_free()
             done += 1
+
+
+class TestCorruptedInputs:
+    """Each test corrupts only what one verdict site reads and expects that
+    site's ConventionMismatch."""
+
+    S = surf([Component(0, (mk("i1", "x", "i2", "y"),))])   # case 2-1a
+
+    def corrupt_oracle(self, monkeypatch, corrupt):
+        honest = gluing.quotient_oracle
+        assert self_glue_iso(self.S, "i1", "i2", PRESET_TENSOR).oracle.is_free()
+        monkeypatch.setattr(gluing, "quotient_oracle",
+                            lambda *args: corrupt(honest(*args)))
+
+    def test_quotient_torsion(self, monkeypatch):
+        self.corrupt_oracle(monkeypatch, lambda oracle: QuotientOracle(
+            oracle.offset, oracle.blocks, [2]))
+        with pytest.raises(ConventionMismatch, match=r"quotient has torsion \[2\]"):
+            self_glue_iso(self.S, "i1", "i2", PRESET_TENSOR)
+
+    def test_oracle_ranks(self, monkeypatch):
+        def shifted(oracle):
+            key = next(k for k, v in oracle.blocks.items() if v[2])
+            dim, rank, coker = oracle.blocks[key]
+            blocks = {**oracle.blocks, key: (dim, rank - 1, coker + 1)}
+            return QuotientOracle(oracle.offset, blocks, oracle.factors)
+
+        self.corrupt_oracle(monkeypatch, shifted)
+        with pytest.raises(ConventionMismatch, match="quotient ranks .* != target"):
+            self_glue_iso(self.S, "i1", "i2", PRESET_TENSOR)
+
+    def test_balancing_relations(self, monkeypatch):
+        # one more relation column, which chi maps onto a basis element
+        honest = gluing.tensor_middle
+
+        def extra(*args, **kwargs):
+            t = honest(*args, **kwargs)
+            rel = IntMat(t.relations.nrows, t.relations.ncols + 1,
+                         dict(t.relations.cols))
+            rel.set_col(t.relations.ncols, dict(t.section.col(0)))
+            return TensorResult(t.bimodule, t.projection, t.section, rel)
+
+        fp, f = identity_cobordism(["b"]), identity_cobordism(["a"])
+        compose_iso(fp, f, PRESET_TENSOR)
+        monkeypatch.setattr(gluing, "tensor_middle", extra)
+        with pytest.raises(ConventionMismatch,
+                           match="does not kill the balancing relations"):
+            compose_iso(fp, f, PRESET_TENSOR)
 
 
 class TestComposeIso:

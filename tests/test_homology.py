@@ -3,7 +3,8 @@ import random
 import pytest
 
 from opencob.harness import Bounds, random_surface
-from opencob.homology import (IncompatibleBases, adapted_basis, arc_element,
+from opencob.homology import (BasisElement, H1Basis, IncompatibleBases,
+                              InvalidBasis, adapted_basis, arc_element,
                               boundary_element, canonical_basis,
                               change_of_basis, cw_relative_h1, model_of,
                               torus_element)
@@ -82,6 +83,39 @@ class TestPhi:
         s = surf([Component(0, (mk("a", "b"),))])
         model = model_of(s)
         assert model.phi("a", model.arc_class("a", "a")) == 0
+
+
+class TestBasisValidation:
+    def elements(self):
+        # two genus classes, a boundary class and three arcs
+        b = canonical_basis(surf([Component(1, (mk("a", "b", "c"), mk("d")))]))
+        assert len(b) == 6 and b.elements[-1].kind == "arc"
+        return b.model, list(b.elements)
+
+    def test_valid(self):
+        model, els = self.elements()
+        assert len(H1Basis(model, tuple(els))) == 6
+
+    def test_index_two_sublattice(self):
+        model, els = self.elements()
+        el = els[-1]
+        els[-1] = BasisElement(el.label, el.kind, el.data,
+                               tuple((i, 2 * v) for i, v in el.coords))
+        with pytest.raises(InvalidBasis, match="not a unimodular basis"):
+            H1Basis(model, tuple(els))
+
+    def test_repeated_element(self):
+        model, els = self.elements()
+        els[-1] = els[-2]
+        with pytest.raises(InvalidBasis, match="not a unimodular basis"):
+            H1Basis(model, tuple(els))
+
+    def test_wrong_element_count(self):
+        model, els = self.elements()
+        with pytest.raises(InvalidBasis, match="5 elements for rank-6"):
+            H1Basis(model, tuple(els[:-1]))
+        with pytest.raises(InvalidBasis, match="7 elements for rank-6"):
+            H1Basis(model, tuple(els + els[:1]))
 
 
 class TestChangeOfBasis:

@@ -315,3 +315,18 @@ class TestIsGradedIso:
         res = is_graded_iso(mat, x, x)
         assert isinstance(res, IsoFailure)
         assert res.reason == "not unimodular"
+
+    def test_only_the_second_block_not_unimodular(self):
+        # two degree blocks; the first has determinant 1, the second 1 or 2
+        a0 = SuperAlgebra(0)
+        x = Bimodule(a0, a0, Grades(Fraction(0), [0, 0, 1, 1], [0, 0, 0, 0]),
+                     [], [])
+
+        def blocks(second):
+            return IntMat.from_dense([[2, 1, 0, 0], [1, 1, 0, 0],
+                                      [0, 0, *second[0]], [0, 0, *second[1]]])
+
+        assert isinstance(is_graded_iso(blocks([[1, 1], [1, 2]]), x, x), GradedIso)
+        res = is_graded_iso(blocks([[1, 1], [1, 3]]), x, x)
+        assert isinstance(res, IsoFailure)
+        assert res.reason == "not unimodular"
