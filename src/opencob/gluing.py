@@ -15,7 +15,7 @@ from .grading import Grading
 from .homology import (AdaptedBasis, H1Basis, adapted_basis, arc_element,
                        boundary_element, change_of_basis, model_of,
                        torus_element)
-from .snf import IntMat, smith
+from .snf import IntMat, is_unimodular, smith
 from .statespace import (MAX_STATE_H, StateSpace, action_matrix, bimodule_of,
                          build, graded_superdim)
 from .superalg import (Bimodule, GradedIso, GradedMap, Grades, IsoFailure,
@@ -34,14 +34,6 @@ class ConventionMismatch(AssertionError):
 
 class ParameterConstraintViolated(ValueError):
     pass
-
-
-def _cols_of_dense(mat):
-    out = []
-    for j in range(len(mat)):
-        col = {i: mat[i][j] for i in range(len(mat)) if mat[i][j]}
-        out.append(col)
-    return out
 
 
 def _is_identity_cols(cols):
@@ -80,6 +72,14 @@ class WedgeMap:
         self.memo[mask] = out
         return out
 
+    def matrix(self, masks, index) -> IntMat:
+        """The matrix whose column j is ``expand(masks[j])``, each monomial
+        in row ``index[monomial]``."""
+        out = IntMat(len(index), len(masks))
+        for j, mask in enumerate(masks):
+            out.set_col(j, {index[m]: c for m, c in self.expand(mask).items()})
+        return out
+
 
 # ---------------------------------------------------------------------------
 # the quotient oracle
@@ -96,9 +96,6 @@ class QuotientOracle:
     def by_degree(self):
         """``blocks`` keyed by (degree, parity), for output."""
         return {(self.offset + w, p): v for (w, p), v in self.blocks.items()}
-
-    def coker_rank(self):
-        return sum(v[2] for v in self.blocks.values())
 
     def is_free(self):
         return all(d == 1 for d in self.factors)
@@ -140,8 +137,7 @@ def certify_unimodular(phi: IntMat, cols: Grades, rows: Grades, case: str):
     if bad is not None:
         raise ConventionMismatch(
             f"case {case}: psi on the quotient basis leaves column {bad[0]}'s block")
-    sf = smith(phi)
-    if sf.rank != phi.ncols or not sf.is_free_quotient():
+    if not is_unimodular(phi):
         raise ConventionMismatch(
             f"case {case}: psi is not unimodular on the quotient basis")
 
@@ -261,10 +257,8 @@ def self_glue_iso(surface_or_space, i1: str, i2: str,
     pers_elements = ([new_el] if new_el is not None else []) + images
     pers = H1Basis(model_bar, tuple(pers_elements))
 
-    to_adapted = WedgeMap(_cols_of_dense(change_of_basis(space.basis, adapted.basis))
-                          if space.h else [])
-    to_canonical = WedgeMap(_cols_of_dense(change_of_basis(pers, target.basis))
-                            if target.h else [])
+    to_adapted = WedgeMap(change_of_basis(space.basis, adapted.basis))
+    to_canonical = WedgeMap(change_of_basis(pers, target.basis))
 
     has_new = new_el is not None
     new_coeff = sigma_sign if case.startswith("2-1") else 1
@@ -370,12 +364,8 @@ def self_glue_iso(surface_or_space, i1: str, i2: str,
         survivors = [m for m in space.monomials if m & 1]
 
     # 6. psi is unimodular on the survivors, expanded in the space's basis
-    from_adapted = WedgeMap(_cols_of_dense(change_of_basis(adapted.basis, space.basis))
-                            if space.h else [])
-    q = IntMat(space.dim, len(survivors))
-    for jq, amask in enumerate(survivors):
-        q.set_col(jq, {space.index[m]: c
-                       for m, c in from_adapted.expand(amask).items()})
+    from_adapted = WedgeMap(change_of_basis(adapted.basis, space.basis))
+    q = from_adapted.matrix(survivors, space.index)
     certify_unimodular(psi @ q,
                        space.grades.select([space.index[m] for m in survivors]),
                        target.grades, case)
@@ -478,14 +468,8 @@ def compose_iso(fp: SuturedSurface, f: SuturedSurface, grading: Grading, *,
         # empty interface: composition is the disjoint union; convert the
         # concatenated basis to the canonical one
         canon = build(g0, grading)
-        to_canon = WedgeMap(_cols_of_dense(change_of_basis(space_g.basis,
-                                                           canon.basis))
-                            if space_g.h else [])
-        conv = IntMat(canon.dim, space_g.dim)
-        for j, mask in enumerate(space_g.monomials):
-            conv.set_col(j, {canon.index[m]: c
-                             for m, c in to_canon.expand(mask).items()})
-        chi = conv @ chi
+        to_canon = WedgeMap(change_of_basis(space_g.basis, canon.basis))
+        chi = to_canon.matrix(space_g.monomials, canon.index) @ chi
         current = canon
 
     composed = SuturedSurface(
@@ -629,9 +613,10 @@ def symmetrizer_iso(labels1, labels2, grading: Grading) -> GradedIso:
     return result
 
 
-def _monomial_actions(bim: Bimodule, side: str) -> list:
-    """The matrix of every monomial of the ``side`` ("left" or "right")
-    algebra acting on ``bim``, indexed by mask.
+def _monomial_actions(bim: Bimodule, side: str, masks) -> dict:
+    """mask -> the matrix of that monomial of the ``side`` ("left" or
+    "right") algebra acting on ``bim``, for every mask in ``masks`` and
+    the masks their recurrence passes through, and always mask 0.
 
     E_{i1}...E_{ik} with i1 < ... < ik acts as L[i1] @ ... @ L[ik] from the
     left and as R[ik] @ ... @ R[i1] from the right.  Each mask costs one
@@ -640,11 +625,29 @@ def _monomial_actions(bim: Bimodule, side: str) -> list:
     """
     left = side == "left"
     gens = bim.left_actions if left else bim.right_actions
-    acts = [IntMat.identity(bim.dim)]
-    for mask in range(1, 1 << len(gens)):
-        i = (mask & -mask).bit_length() - 1 if left else mask.bit_length() - 1
-        acts.append(gens[i] @ acts[mask ^ (1 << i)])
+    acts = {0: IntMat.identity(bim.dim)}
+
+    def act(mask):
+        if mask not in acts:
+            i = (mask & -mask).bit_length() - 1 if left else mask.bit_length() - 1
+            acts[mask] = gens[i] @ act(mask ^ (1 << i))
+        return acts[mask]
+
+    for mask in masks:
+        act(mask)
     return acts
+
+
+def _evaluate(bim: Bimodule, side: str, section: IntMat, pair) -> IntMat:
+    """``ev @ section``, where column r of the evaluation map ev is the
+    monomial ``mask`` of the ``side`` algebra applied to basis element e of
+    ``bim``, with ``(mask, e) == pair(r)``.  Only the columns of ev that the
+    section reads are formed, so only their masks' actions are built."""
+    read = {r: pair(r) for col in section.cols.values() for r in col}
+    acts = _monomial_actions(bim, side, {mask for mask, _ in read.values()})
+    ev = IntMat(bim.dim, section.nrows,
+                {r: acts[mask].col(e) for r, (mask, e) in read.items()})
+    return ev @ section
 
 
 def _int_inverse(mat: IntMat) -> IntMat:
@@ -671,19 +674,13 @@ def naturality_square(f_space: StateSpace, g_space: StateSpace) -> GradedIso:
     x = tensor_middle(mu_out, ext)
     y = tensor_middle(bim_u, mu_in)
 
-    # evaluate b (x) v -> b . v on X's representatives
-    ev_x = IntMat(ext.dim, mu_out.dim * ext.dim)
-    for mask, act in enumerate(_monomial_actions(ext, "left")):
-        for e in range(ext.dim):
-            ev_x.set_col(mask * ext.dim + e, act.col(e))
-    # evaluate v (x) a -> v . a on Y's representatives
-    ev_y = IntMat(bim_u.dim, bim_u.dim * mu_in.dim)
-    for mask, act in enumerate(_monomial_actions(bim_u, "right")):
-        for e in range(bim_u.dim):
-            ev_y.set_col(e * mu_in.dim + mask, act.col(e))
-
-    x_to_ext = ev_x @ x.section
-    y_to_u = ev_y @ y.section
+    # evaluate b (x) v -> b . v on X's representatives, the pair (b, v)
+    # in row b * ext.dim + v
+    x_to_ext = _evaluate(ext, "left", x.section, lambda r: divmod(r, ext.dim))
+    # evaluate v (x) a -> v . a on Y's representatives, the pair (v, a) in
+    # row v * mu_in.dim + a
+    y_to_u = _evaluate(bim_u, "right", y.section,
+                       lambda r: divmod(r, mu_in.dim)[::-1])
     w = _int_inverse(y_to_u) @ union_witness.matrix @ x_to_ext
     result = is_graded_iso(w, x.bimodule, y.bimodule)
     if isinstance(result, IsoFailure):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .snf import IntMat, det_bareiss, smith, solve_exact
+from .snf import IntMat, is_unimodular, smith, solve_exact
 from .surface import FULL_MINUS, FULL_PLUS, MIXED, SuturedSurface, rank_h
 
 
@@ -163,20 +163,17 @@ class H1Basis:
         if len(self.elements) != n:
             raise InvalidBasis(
                 f"{len(self.elements)} elements for rank-{n} lattice")
-        if n and abs(det_bareiss(self.matrix())) != 1:
+        if not is_unimodular(self.matrix()):
             raise InvalidBasis("element classes are not a unimodular basis")
 
     def __len__(self):
         return len(self.elements)
 
-    def matrix(self):
-        """Dense model-coordinate matrix; column j is element j."""
-        n = self.model.rank
-        out = [[0] * n for _ in range(n)]
-        for j, el in enumerate(self.elements):
-            for i, v in el.coords:
-                out[i][j] = v
-        return out
+    def matrix(self) -> IntMat:
+        """Model-coordinate matrix; column j is element j."""
+        return IntMat(self.model.rank, len(self.elements),
+                      {j: el.vec() for j, el in enumerate(self.elements)
+                       if el.coords})
 
     def phi_values(self, interval: str):
         return [self.model.phi(interval, el.vec()) for el in self.elements]
@@ -215,14 +212,13 @@ def canonical_basis(surface: SuturedSurface) -> H1Basis:
     return H1Basis(model, tuple(els))
 
 
-def change_of_basis(from_basis: H1Basis, to_basis: H1Basis):
-    """Integer matrix expressing from-basis elements in to-basis coordinates."""
+def change_of_basis(from_basis: H1Basis, to_basis: H1Basis) -> list:
+    """The from-basis elements in to-basis coordinates, as sparse columns
+    {to-basis index: coefficient}: column j is element j, so the list is
+    empty when h = 0."""
     if from_basis.model.surface != to_basis.model.surface:
         raise IncompatibleBases("bases live on different surfaces")
-    n = from_basis.model.rank
-    if n == 0:
-        return []
-    sol = solve_exact(to_basis.matrix(), from_basis.matrix())
+    sol = solve_exact(to_basis.matrix(), [el.vec() for el in from_basis.elements])
     if sol is None:
         raise IncompatibleBases("change of basis is not integral")
     return sol

@@ -5,13 +5,15 @@ stored column-major as ``{col: {row: value}}`` with explicit shape, which
 suits the engine's highly sparse action/relation matrices.
 
 ``smith`` is the one elimination kernel.  Ranks, invariant factors, the
-quotient bases of ``tensor_middle``, integral solutions (``solve_int``,
-``solve_exact``) and inverses of unimodular matrices all come from it.  It
-eliminates on +-1 pivots taken from a worklist of columns ordered by length,
-records the pivot positions instead of swapping rows and columns, and falls
-back to Euclidean steps only when no unit entry is left (after Dumas,
-Saunders and Villard, JSC 2001).  ``det_bareiss`` is the fraction-free
-determinant that validates homology bases.
+quotient bases of ``tensor_middle``, every unimodularity test
+(``is_unimodular``), changes of basis (``solve_exact``) and inverses of
+unimodular matrices all come from it.  It eliminates on +-1 pivots taken
+from a worklist of columns ordered by length, records the pivot positions
+instead of swapping rows and columns, and falls back to Euclidean steps
+only when no unit entry is left (after Dumas, Saunders and Villard, JSC
+2001).  ``det_bareiss`` (fraction-free determinant) and ``solve_int`` have
+no caller in the package: they are the tests' independent oracle and
+spans of the benchmark.
 """
 
 from __future__ import annotations
@@ -395,6 +397,15 @@ def smith(mat, want_u=False, want_uinv=False, want_v=False):
     return SmithForm(diag, rank, u=u, uinv=uinv, v=v)
 
 
+def is_unimodular(mat):
+    """Whether ``mat`` is square and invertible over Z: full rank with every
+    invariant factor 1, by one rank-only Smith normal form."""
+    if mat.nrows != mat.ncols:
+        return False
+    sf = smith(mat)
+    return sf.rank == mat.ncols and sf.is_free_quotient()
+
+
 def smith_normal_form(rows):
     """Dense convenience wrapper: returns (U, D, V) with U M V = D.
 
@@ -428,23 +439,20 @@ def solve_int(mat, rhs_vec):
     return _solve_with(smith(mat, want_u=True, want_v=True), rhs_vec)
 
 
-def solve_exact(rows, rhs_cols):
-    """Solve A X = B over Z for a dense nonsingular square integer A.
+def solve_exact(mat, rhs_cols):
+    """Solve mat @ x = rhs over Z for a nonsingular square IntMat, for each
+    sparse column rhs of ``rhs_cols``, by one Smith normal form.
 
-    Returns X as dense int rows, or None when some column of B has no
-    integral solution.  Raises ValueError when A is singular.
+    Returns the solutions as a list of sparse columns, or None when some
+    column has no integral solution.  Raises ValueError when mat is singular.
     """
-    n = len(rows)
-    mat = IntMat.from_dense(rows)
     sf = smith(mat, want_u=True, want_v=True)
-    if sf.rank != n or mat.ncols != n:
+    if sf.rank != mat.nrows or mat.ncols != mat.nrows:
         raise ValueError("singular matrix in solve_exact")
-    rhs = IntMat.from_dense(rhs_cols)
-    out = [[0] * rhs.ncols for _ in range(n)]
-    for j in range(rhs.ncols):
-        x = _solve_with(sf, rhs.col(j))
+    out = []
+    for rhs in rhs_cols:
+        x = _solve_with(sf, rhs)
         if x is None:
             return None
-        for i, val in x.items():
-            out[i][j] = val
+        out.append(x)
     return out

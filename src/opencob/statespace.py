@@ -154,28 +154,3 @@ def reference_dimension_fgp(g: int, p: int) -> LaurentPoly:
     core = (LaurentPoly.t_half_power(1) - LaurentPoly.t_half_power(-1)) ** h
     shift = LaurentPoly.t_half_power(1 - p, 1 if g % 2 == 0 else -1)
     return shift * core
-
-
-def reference_gy_naive(g: int, p: int) -> LaurentPoly:
-    """The naive generic-label extrapolation; has non-integral exponents.
-
-    Display-only reference: corresponds to generic local systems, which are
-    out of computational scope here.
-    """
-    h = 2 * g - 1 + p
-    core = (LaurentPoly.t_half_power(1) - LaurentPoly.t_half_power(-1)) ** h
-    return LaurentPoly.t_half_power(-p, 1 if (g - 1) % 2 == 0 else -1) * core
-
-
-def reference_generic_mikhaylov(g: int, p: int, n_sum: Fraction | int = None) -> LaurentPoly:
-    """t^N (t^{1/2}-t^{-1/2})^{h_gen} with h_gen = 2g-2+p, N = sum(n_i - 1/2).
-
-    Display-only reference for generic local systems (out of computational
-    scope); N defaults to -p/2, i.e. all labels zero.
-    """
-    h_gen = 2 * g - 2 + p
-    if h_gen < 0:
-        raise ValueError("needs 2g - 2 + p >= 0")
-    n = Fraction(-p, 2) if n_sum is None else Fraction(n_sum)
-    core = (LaurentPoly.t_half_power(1) - LaurentPoly.t_half_power(-1)) ** h_gen
-    return LaurentPoly.term(1, n) * core

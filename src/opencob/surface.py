@@ -527,30 +527,16 @@ def compose_preflight(fp: SuturedSurface, f: SuturedSurface):
             raise CircleInGluingRegion(f"incoming S+ circle {sid!r} in interface")
 
 
-def compose_with_maps(fp: SuturedSurface, f: SuturedSurface):
-    """Glue outgoing(f) to incoming(fp) pairwise, in order.
-
-    Returns (result, pmap, fmap) where pmap/fmap record the id relabeling of
-    fp and f inside the union.
-    """
+def compose(fp: SuturedSurface, f: SuturedSurface) -> SuturedSurface:
+    """Glue outgoing(f) to incoming(fp) pairwise, in order."""
     compose_preflight(fp, f)
     union, fmap = disjoint_union_with_maps(fp, f)
-    pmap = {s: s for s in fp.splus_ids()}
     # work on the all-outgoing relabeling, then restore labels
     current = SuturedSurface(union.components, (), union.splus_ids())
     for a, b in zip(fp.incoming, f.outgoing):
-        res = glue_intervals(current, pmap[a], fmap[b])
-        current = res.surface
-    final = SuturedSurface(
-        current.components,
-        tuple(fmap[s] for s in f.incoming),
-        tuple(pmap[s] for s in fp.outgoing),
-    )
-    return final, pmap, fmap
-
-
-def compose(fp: SuturedSurface, f: SuturedSurface) -> SuturedSurface:
-    return compose_with_maps(fp, f)[0]
+        current = glue_intervals(current, a, fmap[b]).surface
+    return SuturedSurface(current.components,
+                          tuple(fmap[s] for s in f.incoming), tuple(fp.outgoing))
 
 
 # ---------------------------------------------------------------------------

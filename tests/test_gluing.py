@@ -9,8 +9,7 @@ from opencob.grading import (PRESET_HALF, PRESET_TENSOR, Grading,
                              ParityParams, ShiftParams)
 from opencob.gluing import (CASE_DEGREE_SHIFT, ConventionMismatch,
                             ParameterConstraintViolated, QuotientOracle,
-                            WedgeMap,
-                            _cols_of_dense, _monomial_actions,
+                            WedgeMap, _monomial_actions,
                             certify_unimodular, compose_iso,
                             identity_iso, naturality_square, pants_iso,
                             quotient_oracle, self_glue_iso, symmetrizer_iso,
@@ -47,8 +46,7 @@ def quotient_representatives(res, i1, i2):
         survivors = list(space.monomials)
     else:
         survivors = [m for m in space.monomials if m & 1]
-    from_adapted = WedgeMap(_cols_of_dense(change_of_basis(adapted.basis, space.basis))
-                            if space.h else [])
+    from_adapted = WedgeMap(change_of_basis(adapted.basis, space.basis))
     q = IntMat(space.dim, len(survivors))
     for jq, amask in enumerate(survivors):
         q.set_col(jq, {space.index[m]: c
@@ -198,7 +196,7 @@ class TestQuotientOracle:
         s = surf([Component(0, (mk("i1", "i2"),))])
         space = build(s, PRESET_TENSOR)
         oracle = quotient_oracle(space, "i1", "i2")
-        assert oracle.coker_rank() == space.dim
+        assert sum(v[2] for v in oracle.blocks.values()) == space.dim
         assert all(rel == 0 for _, rel, _ in oracle.blocks.values())
 
     def test_identity_pair_rank_two(self):
@@ -207,7 +205,7 @@ class TestQuotientOracle:
         all_out = SuturedSurface(u.components, (), u.splus_ids())
         space = build(all_out, PRESET_TENSOR)
         oracle = quotient_oracle(space, "a.in", "b.out")
-        assert oracle.coker_rank() == 2
+        assert sum(v[2] for v in oracle.blocks.values()) == 2
         assert oracle.is_free()
 
     def test_factors_unit_on_corpus(self):
@@ -450,15 +448,15 @@ class TestMonomialActions:
                        not explicit_monomial_action(e, side, 3).is_zero()
                        for side in ("left", "right")))
         for side, m in (("left", ext.left.m), ("right", ext.right.m)):
-            acts = _monomial_actions(ext, side)
+            acts = _monomial_actions(ext, side, range(1 << m))
             assert len(acts) == 1 << m
-            for mask, act in enumerate(acts):
+            for mask, act in acts.items():
                 assert act == explicit_monomial_action(ext, side, mask)
 
     def test_no_generators_gives_the_identity(self):
         ext = next(e for _, _, e in functor_pairs()
                    if e.left.m == 0 and e.dim > 1)
-        assert _monomial_actions(ext, "left") == [IntMat.identity(ext.dim)]
+        assert _monomial_actions(ext, "left", range(1)) == {0: IntMat.identity(ext.dim)}
 
     def test_a_flipped_sign_fails_the_naturality_square(self, monkeypatch):
         f_space, g_space, _ = next(p for p in functor_pairs()
@@ -466,8 +464,8 @@ class TestMonomialActions:
         naturality_square(f_space, g_space)
         honest = gluing._monomial_actions
 
-        def flipped(bim, side):
-            acts = honest(bim, side)
+        def flipped(bim, side, masks):
+            acts = honest(bim, side, masks)
             if side == "right":
                 act = acts[1]
                 j = max(act.cols)

@@ -8,7 +8,7 @@ from opencob.homology import (BasisElement, H1Basis, IncompatibleBases,
                               boundary_element, canonical_basis,
                               change_of_basis, cw_relative_h1, model_of,
                               torus_element)
-from opencob.snf import det_bareiss
+from opencob.snf import IntMat, det_bareiss
 from opencob.surface import (BoundaryCircle, Component, SuturedSurface,
                              closed_surface, open_pants, rank_h, surface_fgp)
 
@@ -118,10 +118,16 @@ class TestBasisValidation:
             H1Basis(model, tuple(els + els[:1]))
 
 
+def dense_change_of_basis(from_basis, to_basis):
+    """``change_of_basis`` as dense rows: column j is from-element j."""
+    cols = change_of_basis(from_basis, to_basis)
+    return IntMat(len(cols), len(cols), dict(enumerate(cols))).to_dense()
+
+
 class TestChangeOfBasis:
     def test_identity(self):
         b = canonical_basis(surface_fgp(1, 2))
-        mat = change_of_basis(b, b)
+        mat = dense_change_of_basis(b, b)
         n = len(b)
         assert mat == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -134,7 +140,7 @@ class TestChangeOfBasis:
         t, h = flipped[0].data
         flipped[0] = arc_element(model, h, t)
         b2 = H1Basis(model, tuple(flipped))
-        mat = change_of_basis(b1, b2)
+        mat = dense_change_of_basis(b1, b2)
         assert mat[0][0] == -1 and mat[1][1] == 1
         assert mat[0][1] == 0 and mat[1][0] == 0
 
@@ -147,7 +153,7 @@ class TestChangeOfBasis:
                                arc_element(model, "a", "c")))
         path = H1Basis(model, (arc_element(model, "a", "b"),
                                arc_element(model, "b", "c")))
-        mat = change_of_basis(star, path)
+        mat = dense_change_of_basis(star, path)
         # star's a->c expands as (a->b) + (b->c)
         assert [row[1] for row in mat] == [1, 1]
 
@@ -161,14 +167,18 @@ class TestChangeOfBasis:
             i1, i2 = rng.sample(list(ids), 2)
             b1 = canonical_basis(s)
             b2 = adapted_basis(s, i1, i2).basis
-            m12 = change_of_basis(b1, b2)
-            m21 = change_of_basis(b2, b1)
+            m12 = dense_change_of_basis(b1, b2)
+            m21 = dense_change_of_basis(b2, b1)
             n = len(b1)
             assert abs(det_bareiss(m12)) == 1
             prod = [[sum(m12[i][t] * m21[t][j] for t in range(n))
                      for j in range(n)] for i in range(n)]
             assert prod == [[1 if i == j else 0 for j in range(n)]
                             for i in range(n)]
+
+    def test_rank_zero_gives_no_columns(self):
+        b = canonical_basis(surf([Component(0, (mk("a"),))]))
+        assert len(b) == 0 and change_of_basis(b, b) == []
 
     def test_incompatible_surfaces(self):
         with pytest.raises(IncompatibleBases):

@@ -99,10 +99,18 @@ class TestSolve:
         assert solve_int(mat, {0: 1}) is None
 
     def test_solve_exact(self):
-        assert solve_exact([[2, 1], [1, 1]], [[1, 0], [0, 1]]) == [[1, -1], [-1, 2]]
-        assert solve_exact([[2]], [[1]]) is None
+        def solve_dense(rows, rhs_rows):
+            rhs = IntMat.from_dense(rhs_rows)
+            sol = solve_exact(IntMat.from_dense(rows),
+                              [rhs.col(j) for j in range(rhs.ncols)])
+            if sol is None:
+                return None
+            return IntMat(len(rows), len(sol), dict(enumerate(sol))).to_dense()
+
+        assert solve_dense([[2, 1], [1, 1]], [[1, 0], [0, 1]]) == [[1, -1], [-1, 2]]
+        assert solve_dense([[2]], [[1]]) is None
         with pytest.raises(ValueError):
-            solve_exact([[1, 1], [1, 1]], [[1], [1]])
+            solve_dense([[1, 1], [1, 1]], [[1], [1]])
 
 
 class TestIntMat:

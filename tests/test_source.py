@@ -53,3 +53,42 @@ def test_package_is_stdlib_only():
              for path in paths
              for top, line in outside_imports(ast.parse(path.read_text(encoding="utf-8")))]
     assert not found, f"imports outside the standard library: {found}"
+
+
+# Kept in snf.py only as the tests' independent oracle and as spans that the
+# benchmark wraps; the package itself decides everything through ``smith``.
+ORACLE_ONLY = {"det_bareiss", "solve_int"}
+
+
+def references(tree: ast.AST, names) -> list:
+    """The uses of ``names`` in ``tree`` (as a name, an attribute or an
+    import), with their line numbers."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name.rpartition(".")[2]
+        else:
+            continue
+        if name in names:
+            found.append((name, node.lineno))
+    return sorted(found, key=lambda item: item[1])
+
+
+def test_references_are_found():
+    tree = ast.parse("from .snf import det_bareiss as d\nimport opencob.snf as s\n"
+                     "x = s.solve_int(m, v)\n\"det_bareiss\"\n")
+    assert references(tree, ORACLE_ONLY) == [("det_bareiss", 1), ("solve_int", 3)]
+
+
+def test_oracle_only_names_stay_in_snf():
+    paths = sorted(SOURCE.glob("*.py"))
+    assert any(path.name == "homology.py" for path in paths)
+    found = [f"{path.name}:{line} references {name}"
+             for path in paths if path.name != "snf.py"
+             for name, line in references(ast.parse(path.read_text(encoding="utf-8")),
+                                          ORACLE_ONLY)]
+    assert not found, f"oracle-only names used in the package: {found}"

@@ -9,8 +9,7 @@ from opencob.harness import Bounds, random_surface
 from opencob.homology import H1Basis, arc_element, model_of, torus_element
 from opencob.laurent import LaurentPoly
 from opencob.statespace import (action_matrix, bimodule_of, build, e_action,
-                                graded_superdim, reference_dimension_fgp,
-                                reference_generic_mikhaylov, reference_gy_naive)
+                                graded_superdim, reference_dimension_fgp)
 from opencob.surface import (BoundaryCircle, Component, NotAnInterval,
                              SuturedSurface, disjoint_union,
                              identity_cobordism, open_pants, rank_h,
@@ -204,13 +203,6 @@ class TestReferencePolys:
         for g in range(4):
             for p in range(1, 5):
                 assert reference_dimension_fgp(g, p).exponents_integral()
-
-    def test_generic_references_display_only(self):
-        # the naive extrapolation has genuinely half-integral exponents
-        assert not reference_gy_naive(0, 1).exponents_integral()
-        poly = reference_generic_mikhaylov(1, 1)
-        assert poly == LaurentPoly.term(1, F(-1, 2)) * (
-            LaurentPoly.term(1, F(1, 2)) - LaurentPoly.term(1, F(-1, 2)))
 
     def test_p0_rejected(self):
         with pytest.raises(ValueError):
