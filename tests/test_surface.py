@@ -156,6 +156,92 @@ class TestGlue:
             assert rank_h(res.surface) - rank_h(s) == dh
 
 
+def seeded_gluings(seed=53, n=240):
+    """``n`` seeded random gluings (surface, i1, i2), all outgoing."""
+    import random
+    from opencob.harness import Bounds, random_surface
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        s = random_surface(rng, Bounds(max_h=8), require_intervals=2)
+        out.append((s, *rng.sample(list(s.interval_ids()), 2)))
+    return out
+
+
+def check_glue_bookkeeping(s, i1, i2):
+    """Check what ``glue_intervals`` says about where everything went;
+    return the case tag."""
+    res = glue_intervals(s, i1, i2)
+    glued = res.surface.components
+    glued_keys = {s.locate(i1), s.locate(i2)}
+    # untouched circles reappear unchanged, at distinct keys
+    images = {}
+    for ci, comp in enumerate(s.components):
+        for bi, circ in enumerate(comp.circles):
+            if (ci, bi) in glued_keys:
+                continue
+            nci, nbi = res.circle_map[(ci, bi)][0]
+            assert nci == res.comp_map[ci]
+            assert glued[nci].circles[nbi] == circ
+            images[(ci, bi)] = (nci, nbi)
+    assert len(set(images.values())) == len(images)
+    # untouched components reappear unchanged
+    owners = {ci for ci, _ in glued_keys}
+    for ci, comp in enumerate(s.components):
+        if ci not in owners:
+            assert glued[res.comp_map[ci]] == comp
+    # old genus classes land inside their new component's genus range,
+    # on distinct indices, none of them a class the gluing created
+    classes = set()
+    for ci, comp in enumerate(s.components):
+        nci = res.comp_map[ci]
+        for i in range(2 * comp.genus):
+            k = res.torus_shift[ci] + i
+            assert 0 <= k < 2 * glued[nci].genus
+            classes.add((nci, k))
+    assert len(classes) == sum(2 * c.genus for c in s.components)
+    assert not classes & set(res.new_genus_indices)
+    # the circles left over are the products of the surgery
+    rest = [(ci, bi) for ci, comp in enumerate(glued)
+            for bi in range(len(comp.circles))
+            if (ci, bi) not in set(images.values())]
+    old_ids = set()
+    for ci, bi in glued_keys:
+        old_ids |= set(s.components[ci].circles[bi].plus_ids())
+    new_ids = set()
+    for ci, bi in rest:
+        new_ids |= set(glued[ci].circles[bi].plus_ids())
+    assert new_ids == old_ids - {i1, i2}
+    minus = sum(glued[ci].circles[bi].kind == "full-" for ci, bi in rest)
+    assert minus == res.created_sminus_circles
+    case = res.case_tag
+    if case.startswith("2-1"):
+        assert len(res.new_circles) == 2
+        assert sorted(res.new_circles) == rest
+    else:
+        assert res.new_circles == ()
+        assert len(rest) == 1
+    if case.startswith("2-2"):
+        (c1, k1), (c2, k2) = res.new_genus_indices
+        g = glued[c1].genus
+        assert c1 == c2 == res.comp_map[s.locate(i1)[0]]
+        assert 0 <= k1 < 2 * g and 0 <= k2 < 2 * g and k1 != k2
+    else:
+        assert res.new_genus_indices == ()
+    return case
+
+
+class TestGlueBookkeeping:
+    def test_lemma_case_instances(self):
+        from opencob.harness import lemma_case_instances
+        for case, _, s, i1, i2 in lemma_case_instances():
+            assert check_glue_bookkeeping(s, i1, i2) == case
+
+    def test_seeded_random_gluings(self):
+        seen = {check_glue_bookkeeping(*g) for g in seeded_gluings()}
+        assert seen == {"1-1", "1-2", "1-3", "2-1a", "2-1b", "2-2a", "2-2b"}
+
+
 class TestCompose:
     def test_identity_is_neutral(self):
         idc = identity_cobordism(["m"])
