@@ -23,9 +23,10 @@ from .superalg import (Bimodule, GradedIso, GradedMap, Grades, IsoFailure,
                        external_tensor, hom_bimodule, identity_hom,
                        is_graded_iso, regular_bimodule, symmetrizer_bimodule,
                        tensor_middle)
-from .surface import (NotOutgoing, SuturedSurface, compose_preflight,
-                      disjoint_union_with_maps, glue_intervals,
-                      identity_cobordism, open_pants, symmetrizer_cobordism)
+from .surface import (CASE_DEGREE_SHIFT, NotOutgoing, SuturedSurface,
+                      compose_preflight, disjoint_union_with_maps,
+                      glue_intervals, identity_cobordism, open_pants,
+                      symmetrizer_cobordism)
 
 
 class ConventionMismatch(AssertionError):
@@ -187,8 +188,8 @@ def _persisted_images(adapted: AdaptedBasis, glue, model_bar):
                 # genus class of the added handle
                 images.append(torus_element(model_bar, *glue.new_genus_indices[1]))
             else:
-                nci, nbi = glue.circle_map[(ci, bi)][0]
-                images.append(boundary_element(model_bar, nci, nbi))
+                images.append(boundary_element(model_bar,
+                                               *glue.circle_map[(ci, bi)]))
         elif el.kind == "arc":
             tail, head = el.data
             images.append(arc_element(model_bar, tail, head))
@@ -197,18 +198,19 @@ def _persisted_images(adapted: AdaptedBasis, glue, model_bar):
     return images
 
 
-def _new_element(case: str, glue, model_bar):
+def _new_element(adapted: AdaptedBasis, glue, model_bar):
+    """The glued surface's basis element that no adapted element maps to:
+    the arc from e1's tail to e2's head (1-3), the circle after i1 (2-1)
+    or the first class of the new handle (2-2); None in cases 1-1, 1-2."""
+    case = adapted.case_tag
     if case == "1-3":
-        return None  # built by the caller from e1, e2 endpoints
+        e1, e2 = adapted.specials
+        return arc_element(model_bar, e1.data[0], e2.data[1])
     if case.startswith("2-1"):
         return boundary_element(model_bar, *glue.new_circles[1])
     if case.startswith("2-2"):
         return torus_element(model_bar, *glue.new_genus_indices[0])
     return None
-
-
-CASE_DEGREE_SHIFT = {"1-1": 0, "1-2": 1, "1-3": 1, "2-1a": 1,
-                     "2-1b": 0, "2-2a": 1, "2-2b": 0}
 
 
 def self_glue_iso(surface_or_space, i1: str, i2: str,
@@ -248,11 +250,7 @@ def self_glue_iso(surface_or_space, i1: str, i2: str,
     target = build(glue.surface, space.grading)
     model_bar = target.basis.model
 
-    new_el = _new_element(case, glue, model_bar)
-    if case == "1-3":
-        u = adapted.specials[0].data[0]
-        w = adapted.specials[1].data[1]
-        new_el = arc_element(model_bar, u, w)
+    new_el = _new_element(adapted, glue, model_bar)
     images = _persisted_images(adapted, glue, model_bar)
     pers_elements = ([new_el] if new_el is not None else []) + images
     pers = H1Basis(model_bar, tuple(pers_elements))
@@ -358,10 +356,8 @@ def self_glue_iso(surface_or_space, i1: str, i2: str,
             f"case {case}: quotient ranks {oracle_ranks} != target "
             f"{target_blocks} by (word length, parity)")
 
-    if case in ("1-1", "2-1b", "2-2b"):
-        survivors = list(space.monomials)
-    else:
-        survivors = [m for m in space.monomials if m & 1]
+    # when h drops, only the monomials containing the leading special survive
+    survivors = [m for m in space.monomials if m & 1 or not shift]
 
     # 6. psi is unimodular on the survivors, expanded in the space's basis
     from_adapted = WedgeMap(change_of_basis(adapted.basis, space.basis))

@@ -250,7 +250,6 @@ def adapted_basis(surface: SuturedSurface, i1: str, i2: str) -> AdaptedBasis:
     c1, b1 = surface.locate(i1)
     c2, b2 = surface.locate(i2)
 
-    exception_override: dict[int, int] = {}
     tree_arcs: dict[int, list] = {}
     specials: list = []
     active = None
@@ -283,10 +282,9 @@ def adapted_basis(surface: SuturedSurface, i1: str, i2: str) -> AdaptedBasis:
         specials = [(i2, i1)]
         tree_arcs[c1] = []
 
-    exception_override[c1] = b1
-    exception_override[c2] = b2 if case.startswith("1") else exception_override[c1]
-    if case.startswith("2-2"):
-        exception_override[c1] = b1  # gamma_1, so gamma_2 keeps its basis circle
+    # on one component (c1 == c2) i1's circle is the exception; in case 2-2
+    # gamma_2 then keeps its basis circle
+    exception_override = {c2: b2, c1: b1}
 
     els: list[BasisElement] = [arc_element(model, t, h) for t, h in specials]
     for ci, comp in enumerate(surface.components):

@@ -348,21 +348,29 @@ def classify_gluing(surface: SuturedSurface, i1: str, i2: str) -> str:
     return "2-2b" if alone else "2-2a"
 
 
+# Degree shift of Z(F-bar) over Z(F) in each gluing case; h(F-bar) is
+# h(F) minus the same amount.
+CASE_DEGREE_SHIFT = {"1-1": 0, "1-2": 1, "1-3": 1, "2-1a": 1,
+                     "2-1b": 0, "2-2a": 1, "2-2b": 0}
+
+
 @dataclass(frozen=True)
 class GlueResult:
     surface: SuturedSurface
     case_tag: str
     created_sminus_circles: int
     comp_map: dict          # old component index -> new component index
-    circle_map: dict        # old (comp, circle) -> tuple of new (comp, circle)
+    circle_map: dict        # untouched old (comp, circle) -> new (comp, circle)
     torus_shift: dict       # old component index -> index offset of its genus classes
     new_genus_indices: tuple  # (comp, index) pairs of genus classes created (case 2-2)
     new_circles: tuple      # new (comp, circle) keys created by a split (case 2-1)
-    merged_circle: tuple | None  # new (comp, circle) key of a merged circle
 
 
-def _word_ids(circ: BoundaryCircle) -> list[str]:
-    return [w for w in circ.word if w is not None]
+def _after(circ: BoundaryCircle, sid: str) -> list[str]:
+    """The S+ ids of ``circ`` in cyclic order, starting just after ``sid``."""
+    ids = [w for w in circ.word if w is not None]
+    j = ids.index(sid)
+    return ids[j + 1:] + ids[:j]
 
 
 def _mixed_or_minus(ids: list[str]) -> BoundaryCircle:
@@ -375,139 +383,71 @@ def glue_intervals(surface: SuturedSurface, i1: str, i2: str) -> GlueResult:
     """Glue the outgoing intervals i1 and i2, orientation-reversingly.
 
     The boundary-word surgery removes both S+ arcs and splices their S-
-    neighbors; components/circles merge or split per the case taxonomy.
+    neighbors.  If i1 and i2 lie on one circle, it splits in two (case
+    2-1), into the circle after i2 and the circle after i1.  Otherwise
+    their two circles merge into one, which joins two components (1-x) or
+    adds a handle (2-2).  The glued component takes the lower component's
+    place, with the kept circles of the one or two old components in order,
+    then the new circles; every other component and circle keeps its place.
     """
     case = classify_gluing(surface, i1, i2)
-    c1, b1 = surface.locate(i1)
-    c2, b2 = surface.locate(i2)
-    h_before = rank_h(surface)
+    comps = surface.components
+    # the lower component first; on one component, i1 first (sort is stable)
+    (ca, ba, ia), (cb, bb, ib) = sorted(
+        (surface.locate(i1) + (i1,), surface.locate(i2) + (i2,)),
+        key=lambda end: end[0])
+    circ_a = comps[ca].circles[ba]
+    owners = (ca,) if ca == cb else (ca, cb)
+    kept = [(ci, bi) for ci in owners for bi in range(len(comps[ci].circles))
+            if (ci, bi) not in ((ca, ba), (cb, bb))]
+    new_circles: tuple = ()
+    if (ca, ba) == (cb, bb):
+        ids = _after(circ_a, ia)
+        l = ids.index(ib)
+        made = (_mixed_or_minus(ids[l + 1:]), _mixed_or_minus(ids[:l]))
+        new_circles = ((ca, len(kept)), (ca, len(kept) + 1))
+    else:
+        made = (_mixed_or_minus(_after(comps[cb].circles[bb], ib)
+                                + _after(circ_a, ia)),)
+    genus = sum(comps[ci].genus for ci in owners)
+    new_genus: tuple = ()
+    if case.startswith("2-2"):
+        new_genus = ((ca, 2 * genus), (ca, 2 * genus + 1))
+        genus += 1
+    glued_comp = Component(
+        genus, tuple(comps[ci].circles[bi] for ci, bi in kept) + made)
 
     comp_map: dict[int, int] = {}
-    circle_map: dict[tuple, tuple] = {}
-    torus_shift: dict[int, int] = {}
-    new_genus: tuple = ()
-    new_circles: tuple = ()
-    merged_key = None
-    created = 0
-
-    comps = list(surface.components)
-
-    if c1 != c2:
-        cmin, bmin, imin = (c1, b1, i1) if c1 < c2 else (c2, b2, i2)
-        cmax, bmax, imax = (c2, b2, i2) if c1 < c2 else (c1, b1, i1)
-        ca = comps[cmin]
-        cb = comps[cmax]
-        a = _word_ids(ca.circles[bmin])
-        b = _word_ids(cb.circles[bmax])
-        j = a.index(imin)
-        l = b.index(imax)
-        merged_ids = b[l + 1:] + b[:l] + a[j + 1:] + a[:j]
-        merged = _mixed_or_minus(merged_ids)
-        if merged.kind == FULL_MINUS:
-            created = 1
-        new_circ_list = []
-        for bi, circ in enumerate(ca.circles):
-            if bi != bmin:
-                circle_map[(cmin, bi)] = ((cmin, len(new_circ_list)),)
-                new_circ_list.append(circ)
-        for bi, circ in enumerate(cb.circles):
-            if bi != bmax:
-                circle_map[(cmax, bi)] = ((cmin, len(new_circ_list)),)
-                new_circ_list.append(circ)
-        merged_key = (cmin, len(new_circ_list))
-        new_circ_list.append(merged)
-        circle_map[(cmin, bmin)] = (merged_key,)
-        circle_map[(cmax, bmax)] = (merged_key,)
-        merged_comp = Component(ca.genus + cb.genus, tuple(new_circ_list))
-        new_comps = []
-        for ci, comp in enumerate(comps):
-            if ci == cmax:
-                continue
-            nci = len(new_comps)
-            comp_map[ci] = nci
-            new_comps.append(merged_comp if ci == cmin else comp)
-        comp_map[cmax] = comp_map[cmin]
-        torus_shift = {ci: 0 for ci in range(len(comps))}
-        torus_shift[cmax] = 2 * ca.genus
-        for ci, comp in enumerate(comps):
-            if ci in (cmin, cmax):
-                continue
-            for bi in range(len(comp.circles)):
-                circle_map[(ci, bi)] = ((comp_map[ci], bi),)
-        comps = new_comps
-    elif b1 == b2:
-        comp = comps[c1]
-        a = _word_ids(comp.circles[b1])
-        j = a.index(i1)
-        l = a.index(i2)
-        between = (a[l + 1:] + a[:j]) if l >= j else a[l + 1:j]
-        other = (a[j + 1:] + a[:l]) if j >= l else a[j + 1:l]
-        circ_a = _mixed_or_minus(between)   # the circle "after i2"
-        circ_b = _mixed_or_minus(other)     # the circle "after i1"
-        created = sum(1 for c in (circ_a, circ_b) if c.kind == FULL_MINUS)
-        new_circ_list = []
-        for bi, circ in enumerate(comp.circles):
-            if bi != b1:
-                circle_map[(c1, bi)] = ((c1, len(new_circ_list)),)
-                new_circ_list.append(circ)
-        ka = (c1, len(new_circ_list))
-        new_circ_list.append(circ_a)
-        kb = (c1, len(new_circ_list))
-        new_circ_list.append(circ_b)
-        circle_map[(c1, b1)] = (ka, kb)
-        new_circles = (ka, kb)
-        comps[c1] = Component(comp.genus, tuple(new_circ_list))
-        comp_map = {ci: ci for ci in range(len(comps))}
-        torus_shift = {ci: 0 for ci in range(len(comps))}
-        for ci, comp_ in enumerate(surface.components):
-            if ci == c1:
-                continue
-            for bi in range(len(comp_.circles)):
-                circle_map[(ci, bi)] = ((ci, bi),)
-    else:
-        comp = comps[c1]
-        a = _word_ids(comp.circles[b1])
-        b = _word_ids(comp.circles[b2])
-        j = a.index(i1)
-        l = b.index(i2)
-        merged_ids = b[l + 1:] + b[:l] + a[j + 1:] + a[:j]
-        merged = _mixed_or_minus(merged_ids)
-        if merged.kind == FULL_MINUS:
-            created = 1
-        new_circ_list = []
-        for bi, circ in enumerate(comp.circles):
-            if bi not in (b1, b2):
-                circle_map[(c1, bi)] = ((c1, len(new_circ_list)),)
-                new_circ_list.append(circ)
-        merged_key = (c1, len(new_circ_list))
-        new_circ_list.append(merged)
-        circle_map[(c1, b1)] = (merged_key,)
-        circle_map[(c1, b2)] = (merged_key,)
-        comps[c1] = Component(comp.genus + 1, tuple(new_circ_list))
-        new_genus = ((c1, 2 * comp.genus), (c1, 2 * comp.genus + 1))
-        comp_map = {ci: ci for ci in range(len(comps))}
-        torus_shift = {ci: 0 for ci in range(len(comps))}
-        for ci, comp_ in enumerate(surface.components):
-            if ci == c1:
-                continue
-            for bi in range(len(comp_.circles)):
-                circle_map[(ci, bi)] = ((ci, bi),)
+    circle_map = {old: (ca, k) for k, old in enumerate(kept)}
+    new_comps: list[Component] = []
+    for ci, comp in enumerate(comps):
+        if ci in owners:
+            comp_map[ci] = ca
+            if ci == ca:
+                new_comps.append(glued_comp)
+            continue
+        comp_map[ci] = len(new_comps)
+        new_comps.append(comp)
+        for bi in range(len(comp.circles)):
+            circle_map[(ci, bi)] = (comp_map[ci], bi)
+    # the lower component's genus classes come first
+    torus_shift = {ci: 0 for ci in comp_map}
+    if cb != ca:
+        torus_shift[cb] = 2 * comps[ca].genus
 
     glued = SuturedSurface(
-        tuple(comps),
+        tuple(new_comps),
         tuple(s for s in surface.incoming if s not in (i1, i2)),
         tuple(s for s in surface.outgoing if s not in (i1, i2)),
     )
-    result = GlueResult(glued, case, created, comp_map, circle_map,
-                        torus_shift, new_genus, new_circles, merged_key)
-
-    expected_drop = 0 if case in ("1-1", "2-1b", "2-2b") else 1
-    if rank_h(glued) != h_before - expected_drop:
-        raise SurfaceError(
-            f"internal: h changed by {rank_h(glued) - h_before} in case {case}")
+    if rank_h(glued) != rank_h(surface) - CASE_DEGREE_SHIFT[case]:
+        raise SurfaceError(f"internal: h changed by "
+                           f"{rank_h(glued) - rank_h(surface)} in case {case}")
     if euler_characteristic(glued) != euler_characteristic(surface) - 1:
         raise SurfaceError("internal: Euler characteristic did not drop by 1")
-    return result
+    created = sum(c.kind == FULL_MINUS for c in made)
+    return GlueResult(glued, case, created, comp_map, circle_map,
+                      torus_shift, new_genus, new_circles)
 
 
 # ---------------------------------------------------------------------------

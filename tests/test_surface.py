@@ -180,7 +180,7 @@ def check_glue_bookkeeping(s, i1, i2):
         for bi, circ in enumerate(comp.circles):
             if (ci, bi) in glued_keys:
                 continue
-            nci, nbi = res.circle_map[(ci, bi)][0]
+            nci, nbi = res.circle_map[(ci, bi)]
             assert nci == res.comp_map[ci]
             assert glued[nci].circles[nbi] == circ
             images[(ci, bi)] = (nci, nbi)
