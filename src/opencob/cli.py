@@ -161,11 +161,11 @@ def cmd_compose(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        trials = resolve_trials(args.suite, args.trials)
+        resolve_trials(args.suite, args.trials)
         check_max_h(args.suite, args.max_h)
     except ValueError as exc:
         raise SystemExit2(str(exc))
-    report = run_suite(args.suite, seed=args.seed, trials=trials,
+    report = run_suite(args.suite, seed=args.seed, trials=args.trials,
                        max_h=args.max_h)
     sys.stdout.write(report.to_text())
     print(f"# wall time: {report.wall_time:.2f}s", file=sys.stderr)

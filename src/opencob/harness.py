@@ -501,11 +501,17 @@ DEFAULT_TRIALS = {
 
 
 def resolve_trials(name: str, trials=None) -> int:
-    """The suite's trial count: its default, or ``trials`` once checked."""
+    """The suite's trial count: its default, or ``trials`` once checked.
+
+    ``lemma-cases`` and ``dimensions`` run fixed instance lists and refuse
+    any ``trials``."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if trials is None:
         return DEFAULT_TRIALS[name]
+    if name in ("lemma-cases", "dimensions"):
+        raise ValueError(f"{name} runs a fixed list of instances and takes "
+                         f"no trial count")
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
     if name == "pants" and trials > statespace.MAX_STATE_H + 1:

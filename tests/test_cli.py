@@ -171,6 +171,17 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("suite", ["lemma-cases", "dimensions"])
+    def test_fixed_instance_suites_refuse_trials(self, capsys, monkeypatch, suite):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no suite may run")
+        monkeypatch.setitem(harness.SUITES, suite, refuse)
+        assert main(["verify", suite, "--trials", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "fixed list of instances" in captured.err
+
     def test_theorem_smoke(self, capsys):
         assert main(["verify", "theorem", "--seed", "7", "--trials", "3"]) == 0
 
