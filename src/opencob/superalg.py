@@ -479,7 +479,7 @@ def _on_second(act: IntMat, dim_x: int, signs=None) -> IntMat:
     return out
 
 
-def external_tensor(x: Bimodule, y: Bimodule, check=True) -> Bimodule:
+def external_tensor(x: Bimodule, y: Bimodule) -> Bimodule:
     """Koszul external tensor over (B1 (x) B2, A1 (x) A2).
 
     Sign conventions: (b1 (x) b2)(x (x) y)(a1 (x) a2) =
@@ -494,7 +494,7 @@ def external_tensor(x: Bimodule, y: Bimodule, check=True) -> Bimodule:
     rights = [_on_first(a, y.dim, y_signs) for a in x.right_actions]
     rights += [_on_second(a, x.dim) for a in y.right_actions]
     return Bimodule(left, right, x.grades.tensor(y.grades), lefts, rights,
-                    label=f"({x.label})(x)({y.label})", check=check)
+                    label=f"({x.label})(x)({y.label})")
 
 
 @dataclass
@@ -536,7 +536,7 @@ def middle_relations(x: Bimodule, y: Bimodule) -> IntMat:
     return IntMat(dim, n, cols)
 
 
-def tensor_middle(x: Bimodule, y: Bimodule, check=True) -> TensorResult:
+def tensor_middle(x: Bimodule, y: Bimodule) -> TensorResult:
     """X (x)_B Y as a free bimodule, via Smith normal form per graded block.
 
     Raises TorsionDetected if any block has a nonunit invariant factor.
@@ -598,7 +598,7 @@ def tensor_middle(x: Bimodule, y: Bimodule, check=True) -> TensorResult:
 
     lefts, rights = acts[:len(ambient_lefts)], acts[len(ambient_lefts):]
     bim = Bimodule(x.left, y.right, q_grades, lefts, rights,
-                   label=f"({x.label})(x)_B({y.label})", check=check)
+                   label=f"({x.label})(x)_B({y.label})")
     return TensorResult(bim, proj, sect, rel)
 
 

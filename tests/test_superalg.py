@@ -1,4 +1,5 @@
 import itertools
+import inspect
 import random
 from fractions import Fraction
 
@@ -330,3 +331,9 @@ class TestIsGradedIso:
         res = is_graded_iso(blocks([[1, 1], [1, 3]]), x, x)
         assert isinstance(res, IsoFailure)
         assert res.reason == "not unimodular"
+
+
+def test_products_always_validate():
+    # only a hand-built Bimodule can skip validation, never a product
+    for product in (external_tensor, tensor_middle):
+        assert "check" not in inspect.signature(product).parameters
