@@ -3,14 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from opencob.grading import (PRESET_HALF, PRESET_TENSOR, ConstraintCoeffs,
-                             Grading, ParityParams, ParityUndefined,
-                             ShiftParams, constraint_residuals, delta,
-                             delta_coeffs, delta_half, half_parity_defined,
-                             pi, pi_half, solve_constraints)
+from opencob.grading import (H_COEFFS, PRESET_HALF, PRESET_TENSOR,
+                             ConstraintCoeffs, Grading, ParityParams,
+                             ParityUndefined, ShiftParams,
+                             constraint_residuals, delta, delta_coeffs,
+                             delta_half, half_parity_defined, pi, pi_half,
+                             solve_constraints)
 from opencob.harness import Bounds, random_shift, random_surface
-from opencob.surface import (closed_surface, disjoint_union, disk_plus_minus,
-                             open_pants, rank_h, surface_fgp)
+from opencob.surface import (closed_surface, counts, disjoint_union,
+                             disk_plus_minus, open_pants, rank_h, surface_fgp)
 
 F = Fraction
 
@@ -159,6 +160,26 @@ class TestConstraints:
             c = delta_coeffs(shift)
             sampled = sol.sample(c.c[2], c.c[4], c.c[6], c.c[8])
             assert sampled.c == c.c
+
+
+class TestCountCoefficients:
+    """The count-vector coefficients the constraints suite checks are the
+    formulas state spaces are graded by."""
+
+    def test_delta_is_delta_coeffs_on_counts(self):
+        rng = random.Random(37)
+        for _ in range(300):
+            surf = random_surface(rng, Bounds(max_h=8))
+            params = random_shift(rng)
+            k = counts(surf).as_tuple()
+            c = delta_coeffs(params).c
+            assert delta(params, surf) == sum(a * b for a, b in zip(c, k))
+
+    def test_h_coeffs_give_h(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            k = counts(random_surface(rng, Bounds(max_h=8)))
+            assert sum(a * b for a, b in zip(H_COEFFS, k.as_tuple())) == k.h
 
 
 class TestGluingShiftProperty:
