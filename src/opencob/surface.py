@@ -401,12 +401,12 @@ def glue_intervals(surface: SuturedSurface, i1: str, i2: str) -> GlueResult:
     kept = [(ci, bi) for ci in owners for bi in range(len(comps[ci].circles))
             if (ci, bi) not in ((ca, ba), (cb, bb))]
     new_circles: tuple = ()
-    if (ca, ba) == (cb, bb):
+    if (ca, ba) == (cb, bb):     # 2-1: the circle after i2, the one after i1
         ids = _after(circ_a, ia)
         l = ids.index(ib)
         made = (_mixed_or_minus(ids[l + 1:]), _mixed_or_minus(ids[:l]))
         new_circles = ((ca, len(kept)), (ca, len(kept) + 1))
-    else:
+    else:                        # 1-x, 2-2: one merged circle
         made = (_mixed_or_minus(_after(comps[cb].circles[bb], ib)
                                 + _after(circ_a, ia)),)
     genus = sum(comps[ci].genus for ci in owners)
