@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from functools import reduce
@@ -251,6 +252,42 @@ class TestCorruptedInputs:
         with pytest.raises(ConventionMismatch, match="quotient ranks .* != target"):
             self_glue_iso(self.S, "i1", "i2", PRESET_TENSOR)
 
+    def test_parity_shift(self, monkeypatch):
+        # the glued space's prefactor parity is flipped; nothing else changes
+        honest = gluing.build
+        space = honest(self.S, PRESET_TENSOR)
+        self_glue_iso(space, "i1", "i2")
+
+        def flipped(*args):
+            target = honest(*args)
+            return dataclasses.replace(target, parity0=target.parity0 ^ 1)
+
+        monkeypatch.setattr(gluing, "build", flipped)
+        with pytest.raises(ConventionMismatch, match="case 2-1a: parity shift 0"):
+            self_glue_iso(space, "i1", "i2")
+
+    def test_remaining_generator_anticommutes_with_the_relations(self, monkeypatch):
+        # E_x gains rel @ U: psi kills rel, so E_x still intertwines, but
+        # E_x rel + rel E_x = rel U rel is not zero
+        honest = gluing.action_matrix
+        space = build(self.S, PRESET_TENSOR)
+        self_glue_iso(space, "i1", "i2")
+        rel = honest(space, "i1") + honest(space, "i2")
+        rows = {r for col in rel.cols.values() for r in col}
+        unit = IntMat(space.dim, space.dim,
+                      {min(rows): {next(iter(rel.cols)): 1}})
+        assert not (rel @ unit @ rel).is_zero()
+        bump = rel @ unit
+
+        def bumped(sp, sid):
+            act = honest(sp, sid)
+            return act + bump if sp is space and sid == "x" else act
+
+        monkeypatch.setattr(gluing, "action_matrix", bumped)
+        with pytest.raises(ConventionMismatch,
+                           match="E_x does not anticommute with E1\\+E2"):
+            self_glue_iso(space, "i1", "i2")
+
     def test_balancing_relations(self, monkeypatch):
         # one more relation column, which chi maps onto a basis element
         honest = gluing.tensor_middle
@@ -398,6 +435,14 @@ class TestMonoidalWitnesses:
             for grading in (PRESET_TENSOR, PRESET_HALF, GENERIC):
                 iso = identity_iso(m, grading)
                 assert isinstance(iso, GradedIso)
+
+    def test_identity_is_the_symmetrizer_with_an_empty_block(self):
+        for m in (1, 2, 3):
+            for grading in (PRESET_TENSOR, PRESET_HALF, GENERIC):
+                ident = identity_iso(m, grading)
+                sym = symmetrizer_iso(m, 0, grading)
+                assert ident.matrix == sym.matrix
+                assert ident.checks == sym.checks
 
     def test_symmetrizer_iso(self):
         for m1, m2 in ((1, 1), (1, 2), (2, 1), (2, 2)):

@@ -296,6 +296,10 @@ class TestBuilders:
         assert s.incoming == ("a.in", "b.in", "c.in")
         assert s.outgoing == ("b.out", "c.out", "a.out")
 
+    def test_identity_is_the_symmetrizer_with_an_empty_block(self):
+        for labels in (3, ["a", "b"]):
+            assert identity_cobordism(labels) == symmetrizer_cobordism(labels, ())
+
     def test_surface_fgp_disk(self):
         assert rank_h(surface_fgp(0, 1)) == 0
 
