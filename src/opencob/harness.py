@@ -437,22 +437,22 @@ def verify_constraints(seed=0, trials=50, max_h=None) -> VerificationReport:
 
 
 def verify_dimensions(seed=0, trials=None, max_h=None) -> VerificationReport:
-    report = VerificationReport("dimensions", seed, 20)
+    instances = [(g, p) for g in range(4) for p in range(1, 5)]
+    report = VerificationReport("dimensions", seed, len(instances))
     from .surface import surface_fgp
-    for g in range(4):
-        for p in range(1, 5):
-            surf = surface_fgp(g, p)
-            try:
-                space = build(surf, PRESET_HALF)
-                got = graded_superdim(space)
-                want = statespace.reference_dimension_fgp(g, p)
-                if got != want:
-                    raise gluing.ConventionMismatch(f"{got} != {want}")
-                if not got.exponents_integral():
-                    raise gluing.ConventionMismatch("non-integral exponent")
-            except Exception as exc:
-                report.failures.append(Failure(
-                    seed, 4 * g + p, f"(g,p)=({g},{p}): {exc}", ""))
+    for g, p in instances:
+        surf = surface_fgp(g, p)
+        try:
+            space = build(surf, PRESET_HALF)
+            got = graded_superdim(space)
+            want = statespace.reference_dimension_fgp(g, p)
+            if got != want:
+                raise gluing.ConventionMismatch(f"{got} != {want}")
+            if not got.exponents_integral():
+                raise gluing.ConventionMismatch("non-integral exponent")
+        except Exception as exc:
+            report.failures.append(Failure(
+                seed, 4 * g + p, f"(g,p)=({g},{p}): {exc}", ""))
     return report
 
 
@@ -491,27 +491,27 @@ SUITES = {
 
 DEFAULT_TRIALS = {
     "theorem": 200,
-    "lemma-cases": 10,
     "pants": 5,
     "corollary": 20,
     "constraints": 50,
-    "dimensions": 20,
     "homology-oracle": 100,
 }
 
 
-def resolve_trials(name: str, trials=None) -> int:
+def resolve_trials(name: str, trials=None) -> int | None:
     """The suite's trial count: its default, or ``trials`` once checked.
 
-    ``lemma-cases`` and ``dimensions`` run fixed instance lists and refuse
-    any ``trials``."""
+    ``lemma-cases`` and ``dimensions`` run fixed instance lists, report
+    their length, and refuse any ``trials``: their count is None."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    if trials is None:
-        return DEFAULT_TRIALS[name]
     if name in ("lemma-cases", "dimensions"):
+        if trials is None:
+            return None
         raise ValueError(f"{name} runs a fixed list of instances and takes "
                          f"no trial count")
+    if trials is None:
+        return DEFAULT_TRIALS[name]
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
     if name == "pants" and trials > statespace.MAX_STATE_H + 1:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import opencob.harness as harness
 from opencob.harness import (Bounds, VerificationReport, lemma_case_instances,
                              random_composable_pair, random_surface,
                              run_suite, shrink_surface)
@@ -117,6 +118,34 @@ class TestReports:
         assert tags == [("1-1", 1), ("1-2", 0), ("1-3", 1),
                         ("2-1a", 0), ("2-1a", 1), ("2-1a", 2), ("2-1b", 2),
                         ("2-2a", 0), ("2-2a", 1), ("2-2b", 1)]
+
+
+class TestFixedInstanceSuites:
+    """``lemma-cases`` and ``dimensions`` report as their trial count the
+    number of instances they actually run."""
+
+    def run_counting(self, monkeypatch, module, name, suite):
+        seen = set()
+        honest = getattr(module, name)
+
+        def counting(surface, *args, **kwargs):
+            seen.add(surface)
+            return honest(surface, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        report = run_suite(suite)
+        assert report.ok, report.to_text()
+        return report.trials, len(seen)
+
+    def test_lemma_cases(self, monkeypatch):
+        trials, run = self.run_counting(monkeypatch, harness.gluing,
+                                        "self_glue_iso", "lemma-cases")
+        assert trials == run == 10
+
+    def test_dimensions(self, monkeypatch):
+        trials, run = self.run_counting(monkeypatch, harness, "build",
+                                        "dimensions")
+        assert trials == run == 16
 
 
 class TestSuitesSmoke:
