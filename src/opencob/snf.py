@@ -63,9 +63,6 @@ class IntMat:
     def col(self, j):
         return self.cols.get(j, {})
 
-    def entry(self, i, j):
-        return self.cols.get(j, {}).get(i, 0)
-
     def nnz(self):
         return sum(len(c) for c in self.cols.values())
 

@@ -18,8 +18,8 @@ from .grading import Grading
 from .homology import H1Basis, IncompatibleBases, canonical_basis
 from .laurent import LaurentPoly
 from .snf import IntMat
-from .superalg import (ActionRelationViolation, Bimodule, GradedMap, Grades,
-                       SuperAlgebra, bits)
+from .superalg import (ActionRelationViolation, Bimodule, Grades, SuperAlgebra,
+                       bits)
 from .surface import NotAnInterval, SuturedSurface
 
 # Largest rank h whose 2^h-dimensional state space the verifier builds:
@@ -83,10 +83,6 @@ def build(surface: SuturedSurface, grading: Grading,
     words = [m.bit_count() for m in monos]
     grades = Grades(d0, words, [(p0 + w) & 1 for w in words])
     return StateSpace(surface, grading, basis, monos, index, d0, p0, grades, {})
-
-
-def e_action(space: StateSpace, interval: str) -> GradedMap:
-    return GradedMap(action_matrix(space, interval), -1, 1)
 
 
 def action_matrix(space: StateSpace, interval: str) -> IntMat:

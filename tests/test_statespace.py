@@ -8,8 +8,9 @@ from opencob.grading import (PRESET_HALF, PRESET_TENSOR, Grading,
 from opencob.harness import Bounds, random_surface
 from opencob.homology import H1Basis, arc_element, model_of, torus_element
 from opencob.laurent import LaurentPoly
-from opencob.statespace import (action_matrix, bimodule_of, build, e_action,
+from opencob.statespace import (action_matrix, bimodule_of, build,
                                 graded_superdim, reference_dimension_fgp)
+from opencob.superalg import GradedMap
 from opencob.surface import (BoundaryCircle, Component, NotAnInterval,
                              SuturedSurface, disjoint_union,
                              identity_cobordism, open_pants, rank_h,
@@ -85,7 +86,7 @@ class TestEAction:
             s = random_surface(rng, Bounds(max_h=5))
             space = build(s, PRESET_TENSOR)
             for sid in s.interval_ids():
-                act = e_action(space, sid)
+                act = GradedMap(action_matrix(space, sid), -1, 1)
                 assert act.degree == -1 and act.parity == 1
                 assert (act.matrix @ act.matrix).is_zero()
                 assert act.check_blocks(space.grades, space.grades) is None
