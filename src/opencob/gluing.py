@@ -20,13 +20,11 @@ from .statespace import (MAX_STATE_H, StateSpace, action_matrix, bimodule_of,
                          build, graded_superdim)
 from .superalg import (Bimodule, GradedIso, GradedMap, Grades, IsoFailure,
                        SuperAlgebra, TensorResult, bits, coproduct_left_action,
-                       external_tensor, hom_bimodule, identity_hom,
-                       is_graded_iso, regular_bimodule, symmetrizer_bimodule,
-                       tensor_middle)
+                       external_tensor, is_graded_iso, regular_bimodule,
+                       symmetrizer_bimodule, tensor_middle)
 from .surface import (CASE_DEGREE_SHIFT, NotOutgoing, SuturedSurface,
                       compose_preflight, disjoint_union_with_maps,
-                      glue_intervals, identity_cobordism, open_pants,
-                      symmetrizer_cobordism)
+                      glue_intervals, open_pants, symmetrizer_cobordism)
 
 
 class ConventionMismatch(AssertionError):
@@ -35,6 +33,16 @@ class ConventionMismatch(AssertionError):
 
 class ParameterConstraintViolated(ValueError):
     pass
+
+
+def _verified(mat: IntMat, source: Bimodule, target: Bimodule,
+              what: str) -> GradedIso:
+    """``is_graded_iso``'s verified witness ``mat``: source -> target, or
+    ConventionMismatch naming ``what`` and the check that failed."""
+    result = is_graded_iso(mat, source, target)
+    if isinstance(result, IsoFailure):
+        raise ConventionMismatch(f"{what} failed: {result}")
+    return result
 
 
 def _is_identity_cols(cols):
@@ -480,12 +488,21 @@ def compose_iso(fp: SuturedSurface, f: SuturedSurface, grading: Grading, *,
     if not (chi @ tensor.relations).is_zero():
         raise ConventionMismatch("composition map does not kill the balancing relations")
 
-    chi_bar = chi @ tensor.section
-    result = is_graded_iso(chi_bar, tensor.bimodule, bimodule_of(final))
-    if isinstance(result, IsoFailure):
-        raise ConventionMismatch(f"composition iso failed: {result}")
-    return ComposeIsoResult(result, tensor, steps, final,
+    iso = _verified(chi @ tensor.section, tensor.bimodule, bimodule_of(final),
+                    "composition iso")
+    return ComposeIsoResult(iso, tensor, steps, final,
                             [s.case_tag for s in steps])
+
+
+def _signed_permutation(space: StateSpace, target: Bimodule, image) -> IntMat:
+    """The witness Z(F) -> ``target`` that sends monomial ``mask`` to
+    ``sign`` times basis element ``row``, where ``image(mask)`` is
+    ``(row, sign)``."""
+    mat = IntMat(target.dim, space.dim)
+    for j, mask in enumerate(space.monomials):
+        row, sign = image(mask)
+        mat.set_col(j, {row: sign})
+    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -515,18 +532,12 @@ def pants_iso(p: int, grading: Grading) -> GradedIso:
         raise ParameterConstraintViolated("the pants identification needs A1 = 1")
     if grading.parity is None or grading.parity.n3 != 0:
         raise ParameterConstraintViolated("the pants identification needs N3 = 0")
-    surf = open_pants(p)
-    space = build(surf, grading, pants_basis(p))
+    space = build(open_pants(p), grading, pants_basis(p))
     source = bimodule_of(space)
     target = coproduct_left_action(p)
     full = (1 << p) - 1
-    mat = IntMat(target.dim, space.dim)
-    for j, mask in enumerate(space.monomials):
-        mat.set_col(j, {full ^ mask: 1})
-    result = is_graded_iso(mat, source, target)
-    if isinstance(result, IsoFailure):
-        raise ConventionMismatch(f"pants identification failed: {result}")
-    return result
+    mat = _signed_permutation(space, target, lambda mask: (full ^ mask, 1))
+    return _verified(mat, source, target, "pants identification")
 
 
 # ---------------------------------------------------------------------------
@@ -541,11 +552,8 @@ def union_iso(space_f: StateSpace, space_g: StateSpace) -> GradedIso:
         raise ValueError("disjoint-union witness needs disjoint S+ ids")
     space_u = _union_space(space_f, space_g, union, {})
     ext = external_tensor(bimodule_of(space_f), bimodule_of(space_g))
-    result = is_graded_iso(_union_map(space_f, space_g, space_u), ext,
-                           bimodule_of(space_u))
-    if isinstance(result, IsoFailure):
-        raise ConventionMismatch(f"disjoint-union witness failed: {result}")
-    return result
+    return _verified(_union_map(space_f, space_g, space_u), ext,
+                     bimodule_of(space_u), "disjoint-union witness")
 
 
 def _rect_basis(surf: SuturedSurface) -> H1Basis:
@@ -561,22 +569,10 @@ def _rect_basis(surf: SuturedSurface) -> H1Basis:
 
 
 def identity_iso(labels, grading: Grading) -> GradedIso:
-    """Z(identity cobordism on M) = A(M) as a bimodule over itself."""
-    surf = identity_cobordism(labels)
-    space = build(surf, grading, _rect_basis(surf))
-    m = space.h
-    algebra = SuperAlgebra(m)
-    target = regular_bimodule(algebra)
-    full = (1 << m) - 1
-    mat = IntMat(target.dim, space.dim)
-    for j, mask in enumerate(space.monomials):
-        # iterated-union Koszul sign: each rectangle's prefactor is odd
-        sign = sum(m - 1 - i for i in bits(mask)) % 2
-        mat.set_col(j, {full ^ mask: -1 if sign else 1})
-    result = is_graded_iso(mat, bimodule_of(space), target)
-    if isinstance(result, IsoFailure):
-        raise ConventionMismatch(f"identity-cobordism witness failed: {result}")
-    return result
+    """Z(identity cobordism on M) = A(M) as a bimodule over itself: the
+    symmetrizer witness with an empty second block, whose swap moves
+    nothing and whose target is X_id, the regular bimodule."""
+    return symmetrizer_iso(labels, 0, grading)
 
 
 def symmetrizer_iso(labels1, labels2, grading: Grading) -> GradedIso:
@@ -587,26 +583,22 @@ def symmetrizer_iso(labels1, labels2, grading: Grading) -> GradedIso:
     m = m1 + m2
     space = build(surf, grading, _rect_basis(surf))
     target = symmetrizer_bimodule(m1, m2)
-
-    def swap(mask):
-        out = 0
-        for i in bits(mask):
-            out |= 1 << (m2 + i if i < m1 else i - m1)
-        return out
-
     full = (1 << m) - 1
-    mat = IntMat(target.dim, space.dim)
-    for j, mask in enumerate(space.monomials):
+
+    def image(mask):
+        # the complement, with the iterated-union Koszul sign (each
+        # rectangle's prefactor is odd), then the two blocks swapped with
+        # the Koszul sign of the swap
         comp = full ^ mask
-        sign = sum(m - 1 - i for i in bits(mask)) % 2
         low = (comp & ((1 << m1) - 1)).bit_count()
-        high = (comp >> m1).bit_count()
-        sign = (sign + low * high) % 2
-        mat.set_col(j, {swap(comp): -1 if sign else 1})
-    result = is_graded_iso(mat, bimodule_of(space), target)
-    if isinstance(result, IsoFailure):
-        raise ConventionMismatch(f"symmetrizer witness failed: {result}")
-    return result
+        sign = sum(m - 1 - i for i in bits(mask)) + low * (comp >> m1).bit_count()
+        swapped = 0
+        for i in bits(comp):
+            swapped |= 1 << (m2 + i if i < m1 else i - m1)
+        return swapped, -1 if sign % 2 else 1
+
+    return _verified(_signed_permutation(space, target, image),
+                     bimodule_of(space), target, "symmetrizer witness")
 
 
 def _monomial_actions(bim: Bimodule, side: str, masks) -> dict:
@@ -665,8 +657,8 @@ def naturality_square(f_space: StateSpace, g_space: StateSpace) -> GradedIso:
     """
     union_witness = union_iso(f_space, g_space)
     ext, bim_u = union_witness.source, union_witness.target
-    mu_out = hom_bimodule(identity_hom(SuperAlgebra(ext.left.m)))
-    mu_in = hom_bimodule(identity_hom(SuperAlgebra(ext.right.m)))
+    mu_out = regular_bimodule(SuperAlgebra(ext.left.m))
+    mu_in = regular_bimodule(SuperAlgebra(ext.right.m))
     x = tensor_middle(mu_out, ext)
     y = tensor_middle(bim_u, mu_in)
 
@@ -678,7 +670,4 @@ def naturality_square(f_space: StateSpace, g_space: StateSpace) -> GradedIso:
     y_to_u = _evaluate(bim_u, "right", y.section,
                        lambda r: divmod(r, mu_in.dim)[::-1])
     w = _int_inverse(y_to_u) @ union_witness.matrix @ x_to_ext
-    result = is_graded_iso(w, x.bimodule, y.bimodule)
-    if isinstance(result, IsoFailure):
-        raise ConventionMismatch(f"naturality square failed: {result}")
-    return result
+    return _verified(w, x.bimodule, y.bimodule, "naturality square")

@@ -191,25 +191,31 @@ class H1Basis:
         return "\n".join(lines)
 
 
+def _ordered_elements(model: H1Model, exceptions=None, tree_arcs=None) -> list:
+    """The element order of every basis built here: the genus classes; the
+    classes of the circles meeting S- except each component's exception
+    (the model's, unless ``exceptions`` names another); then per component
+    its arcs in ``tree_arcs``, or else the star from its first S+ id."""
+    surface = model.surface
+    exceptions = {**model.exception, **(exceptions or {})}
+    tree_arcs = tree_arcs or {}
+    els = [torus_element(model, ci, i)
+           for ci, comp in enumerate(surface.components)
+           for i in range(2 * comp.genus)]
+    for ci, meeting in model.sminus_meeting.items():
+        els += [boundary_element(model, ci, bi) for bi in meeting
+                if bi != exceptions[ci]]
+    for ci in range(len(surface.components)):
+        splus = surface.splus_of_component(ci)
+        arcs = tree_arcs.get(ci, [(splus[0], sid) for sid in splus[1:]])
+        els += [arc_element(model, tail, head) for tail, head in arcs]
+    return els
+
+
 def canonical_basis(surface: SuturedSurface) -> H1Basis:
     """Deterministic basis: genus classes, boundary classes, then star-tree arcs."""
     model = model_of(surface)
-    els: list[BasisElement] = []
-    for ci, comp in enumerate(surface.components):
-        for i in range(2 * comp.genus):
-            els.append(torus_element(model, ci, i))
-    for ci in range(len(surface.components)):
-        exc = model.exception.get(ci)
-        for bi in model.sminus_meeting[ci]:
-            if bi != exc:
-                els.append(boundary_element(model, ci, bi))
-    for ci in range(len(surface.components)):
-        splus = surface.splus_of_component(ci)
-        if splus:
-            root = splus[0]
-            for sid in splus[1:]:
-                els.append(arc_element(model, root, sid))
-    return H1Basis(model, tuple(els))
+    return H1Basis(model, tuple(_ordered_elements(model)))
 
 
 def change_of_basis(from_basis: H1Basis, to_basis: H1Basis) -> list:
@@ -284,31 +290,8 @@ def adapted_basis(surface: SuturedSurface, i1: str, i2: str) -> AdaptedBasis:
 
     # on one component (c1 == c2) i1's circle is the exception; in case 2-2
     # gamma_2 then keeps its basis circle
-    exception_override = {c2: b2, c1: b1}
-
-    els: list[BasisElement] = [arc_element(model, t, h) for t, h in specials]
-    for ci, comp in enumerate(surface.components):
-        for i in range(2 * comp.genus):
-            els.append(torus_element(model, ci, i))
-    for ci in range(len(surface.components)):
-        meeting = model.sminus_meeting[ci]
-        if not meeting:
-            continue
-        exc = exception_override.get(ci, model.exception[ci])
-        for bi in meeting:
-            if bi != exc:
-                els.append(boundary_element(model, ci, bi))
-    for ci in range(len(surface.components)):
-        splus = surface.splus_of_component(ci)
-        if not splus:
-            continue
-        if ci in tree_arcs:
-            arcs = tree_arcs[ci]
-        else:
-            arcs = star(ci, splus[0])
-        for t, h in arcs:
-            els.append(arc_element(model, t, h))
-
+    els = [arc_element(model, t, h) for t, h in specials]
+    els += _ordered_elements(model, {c2: b2, c1: b1}, tree_arcs)
     basis = H1Basis(model, tuple(els))
     special_els = tuple(els[: len(specials)])
     return AdaptedBasis(basis, case, special_els, active)

@@ -156,26 +156,16 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return AlgebraElement.make(a.algebra, out)
 
 
-def left_mult_matrix(algebra: SuperAlgebra, elem: AlgebraElement) -> IntMat:
+def mult_matrix(algebra: SuperAlgebra, elem: AlgebraElement,
+                side: str) -> IntMat:
+    """Multiplication by ``elem`` on ``algebra`` from the ``side`` ("left"
+    or "right"): column ``mask`` is ``elem * mask`` or ``mask * elem``."""
+    left = side == "left"
     out = IntMat(algebra.dim, algebra.dim)
     for mask in algebra.monomials():
         col: dict[int, int] = {}
         for me, ce in elem.terms:
-            merged = koszul_merge(me, mask)
-            if merged is None:
-                continue
-            sign, res = merged
-            col[res] = col.get(res, 0) + sign * ce
-        out.set_col(mask, col)
-    return out
-
-
-def right_mult_matrix(algebra: SuperAlgebra, elem: AlgebraElement) -> IntMat:
-    out = IntMat(algebra.dim, algebra.dim)
-    for mask in algebra.monomials():
-        col: dict[int, int] = {}
-        for me, ce in elem.terms:
-            merged = koszul_merge(mask, me)
+            merged = koszul_merge(me, mask) if left else koszul_merge(mask, me)
             if merged is None:
                 continue
             sign, res = merged
@@ -354,18 +344,26 @@ class Bimodule:
                 f"left=A({self.left.m}), right=A({self.right.m}))")
 
 
-def _algebra_grades(algebra: SuperAlgebra) -> Grades:
-    return Grades(0, [algebra.degree(m) for m in algebra.monomials()],
-                  [algebra.parity(m) for m in algebra.monomials()])
+def _generators(algebra: SuperAlgebra) -> tuple:
+    return tuple(AlgebraElement.gen(algebra, i) for i in range(algebra.m))
+
+
+def _algebra_bimodule(b: SuperAlgebra, lefts, rights, label) -> Bimodule:
+    """``b`` acting on itself by multiplication, as an
+    (A(len(lefts)), A(len(rights)))-bimodule: left generator k multiplies
+    by ``lefts[k]`` from the left, right generator k by ``rights[k]`` from
+    the right."""
+    grades = Grades(0, [b.degree(m) for m in b.monomials()],
+                    [b.parity(m) for m in b.monomials()])
+    return Bimodule(SuperAlgebra(len(lefts)), SuperAlgebra(len(rights)),
+                    grades, [mult_matrix(b, el, "left") for el in lefts],
+                    [mult_matrix(b, el, "right") for el in rights], label=label)
 
 
 def regular_bimodule(algebra: SuperAlgebra) -> Bimodule:
-    lefts = [left_mult_matrix(algebra, AlgebraElement.gen(algebra, i))
-             for i in range(algebra.m)]
-    rights = [right_mult_matrix(algebra, AlgebraElement.gen(algebra, i))
-              for i in range(algebra.m)]
-    return Bimodule(algebra, algebra, _algebra_grades(algebra), lefts, rights,
-                    label=f"A({algebra.m})")
+    """A(m) over itself, each generator multiplying from its side."""
+    gens = _generators(algebra)
+    return _algebra_bimodule(algebra, gens, gens, f"A({algebra.m})")
 
 
 def coproduct_left_action(p: int) -> Bimodule:
@@ -376,14 +374,9 @@ def coproduct_left_action(p: int) -> Bimodule:
     right action is multiplication.
     """
     algebra = SuperAlgebra(p)
-    one = SuperAlgebra(1)
-    delta_e = AlgebraElement.make(
-        algebra, {1 << i: 1 for i in range(p)})
-    lefts = [left_mult_matrix(algebra, delta_e)]
-    rights = [right_mult_matrix(algebra, AlgebraElement.gen(algebra, i))
-              for i in range(p)]
-    return Bimodule(one, algebra, _algebra_grades(algebra), lefts, rights,
-                    label=f"Delta^{p}")
+    delta_e = AlgebraElement.make(algebra, {1 << i: 1 for i in range(p)})
+    return _algebra_bimodule(algebra, [delta_e], _generators(algebra),
+                             f"Delta^{p}")
 
 
 @dataclass(frozen=True)
@@ -422,8 +415,7 @@ class AlgHom:
 
 
 def identity_hom(algebra: SuperAlgebra) -> AlgHom:
-    return AlgHom(algebra, algebra,
-                  tuple(AlgebraElement.gen(algebra, i) for i in range(algebra.m)))
+    return AlgHom(algebra, algebra, _generators(algebra))
 
 
 def slot_permutation_hom(src_m: int, perm) -> AlgHom:
@@ -436,12 +428,7 @@ def slot_permutation_hom(src_m: int, perm) -> AlgHom:
 
 def hom_bimodule(f: AlgHom) -> Bimodule:
     """X_f: the target algebra with right action twisted through f."""
-    b = f.dst
-    lefts = [left_mult_matrix(b, AlgebraElement.gen(b, i)) for i in range(b.m)]
-    rights = [right_mult_matrix(b, f.apply_monomial(1 << i))
-              for i in range(f.src.m)]
-    return Bimodule(b, f.src, _algebra_grades(b), lefts, rights,
-                    label="X_f")
+    return _algebra_bimodule(f.dst, _generators(f.dst), f.images, "X_f")
 
 
 def symmetrizer_bimodule(m1: int, m2: int) -> Bimodule:

@@ -503,16 +503,9 @@ def open_pants(p: int) -> SuturedSurface:
 
 
 def identity_cobordism(labels) -> SuturedSurface:
-    """Disjoint rectangles, one per label: M x [0,1] for M a union of intervals."""
-    labels = _as_labels(labels)
-    comps = tuple(
-        Component(0, (BoundaryCircle.mixed(f"{lab}.out", f"{lab}.in"),))
-        for lab in labels)
-    return SuturedSurface(
-        comps,
-        tuple(f"{lab}.in" for lab in labels),
-        tuple(f"{lab}.out" for lab in labels),
-    )
+    """Disjoint rectangles, one per label: M x [0,1] for M a union of
+    intervals.  It is the symmetrizer with an empty second block."""
+    return symmetrizer_cobordism(labels, ())
 
 
 def symmetrizer_cobordism(labels1, labels2) -> SuturedSurface:
