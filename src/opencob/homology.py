@@ -260,7 +260,7 @@ def adapted_basis(surface: SuturedSurface, i1: str, i2: str) -> AdaptedBasis:
     specials: list = []
     active = None
 
-    def star(ci, root, skip=()):
+    def star(ci, root, skip):
         return [(root, sid) for sid in surface.splus_of_component(ci)
                 if sid != root and sid not in skip]
 
