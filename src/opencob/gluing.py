@@ -532,7 +532,8 @@ def pants_iso(p: int, grading: Grading) -> GradedIso:
         raise ParameterConstraintViolated("the pants identification needs A1 = 1")
     if grading.parity is None or grading.parity.n3 != 0:
         raise ParameterConstraintViolated("the pants identification needs N3 = 0")
-    space = build(open_pants(p), grading, pants_basis(p))
+    surf = open_pants(p)
+    space = build(surf, grading, pants_basis(p))
     source = bimodule_of(space)
     target = coproduct_left_action(p)
     full = (1 << p) - 1
@@ -583,6 +584,13 @@ def symmetrizer_iso(labels1, labels2, grading: Grading) -> GradedIso:
     m = m1 + m2
     space = build(surf, grading, _rect_basis(surf))
     target = symmetrizer_bimodule(m1, m2)
+
+    def swap(mask):
+        out = 0
+        for i in bits(mask):
+            out |= 1 << (m2 + i if i < m1 else i - m1)
+        return out
+
     full = (1 << m) - 1
 
     def image(mask):
@@ -590,12 +598,11 @@ def symmetrizer_iso(labels1, labels2, grading: Grading) -> GradedIso:
         # rectangle's prefactor is odd), then the two blocks swapped with
         # the Koszul sign of the swap
         comp = full ^ mask
+        sign = sum(m - 1 - i for i in bits(mask)) % 2
         low = (comp & ((1 << m1) - 1)).bit_count()
-        sign = sum(m - 1 - i for i in bits(mask)) + low * (comp >> m1).bit_count()
-        swapped = 0
-        for i in bits(comp):
-            swapped |= 1 << (m2 + i if i < m1 else i - m1)
-        return swapped, -1 if sign % 2 else 1
+        high = (comp >> m1).bit_count()
+        sign = (sign + low * high) % 2
+        return swap(comp), -1 if sign else 1
 
     return _verified(_signed_permutation(space, target, image),
                      bimodule_of(space), target, "symmetrizer witness")

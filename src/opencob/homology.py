@@ -191,6 +191,13 @@ class H1Basis:
         return "\n".join(lines)
 
 
+def _star(surface: SuturedSurface, ci: int, root: str, skip=()) -> list:
+    """The tree arcs from ``root`` to every other S+ id of component ``ci``
+    that is not in ``skip``."""
+    return [(root, sid) for sid in surface.splus_of_component(ci)
+            if sid != root and sid not in skip]
+
+
 def _ordered_elements(model: H1Model, exceptions=None, tree_arcs=None) -> list:
     """The element order of every basis built here: the genus classes; the
     classes of the circles meeting S- except each component's exception
@@ -207,7 +214,10 @@ def _ordered_elements(model: H1Model, exceptions=None, tree_arcs=None) -> list:
                 if bi != exceptions[ci]]
     for ci in range(len(surface.components)):
         splus = surface.splus_of_component(ci)
-        arcs = tree_arcs.get(ci, [(splus[0], sid) for sid in splus[1:]])
+        if ci in tree_arcs:
+            arcs = tree_arcs[ci]
+        else:
+            arcs = _star(surface, ci, splus[0]) if splus else []
         els += [arc_element(model, tail, head) for tail, head in arcs]
     return els
 
@@ -260,10 +270,6 @@ def adapted_basis(surface: SuturedSurface, i1: str, i2: str) -> AdaptedBasis:
     specials: list = []
     active = None
 
-    def star(ci, root, skip):
-        return [(root, sid) for sid in surface.splus_of_component(ci)
-                if sid != root and sid not in skip]
-
     if case == "1-1":
         pass
     elif case == "1-2":
@@ -273,17 +279,17 @@ def adapted_basis(surface: SuturedSurface, i1: str, i2: str) -> AdaptedBasis:
             active, ca = i1, c1
         root = next(s for s in surface.splus_of_component(ca) if s != active)
         specials = [(root, active)]
-        tree_arcs[ca] = star(ca, root, skip=(active,))
+        tree_arcs[ca] = _star(surface, ca, root, skip=(active,))
     elif case == "1-3":
         u = next(s for s in surface.splus_of_component(c1) if s != i1)
         w = next(s for s in surface.splus_of_component(c2) if s != i2)
         specials = [(u, i1), (i2, w)]
-        tree_arcs[c1] = star(c1, u, skip=(i1,))
-        tree_arcs[c2] = star(c2, w, skip=(i2,))
+        tree_arcs[c1] = _star(surface, c1, u, skip=(i1,))
+        tree_arcs[c2] = _star(surface, c2, w, skip=(i2,))
     elif case in ("2-1a", "2-2a"):
         q = next(s for s in surface.splus_of_component(c1) if s not in (i1, i2))
         specials = [(q, i1), (i2, q)]
-        tree_arcs[c1] = star(c1, q, skip=(i1, i2))
+        tree_arcs[c1] = _star(surface, c1, q, skip=(i1, i2))
     else:  # 2-1b, 2-2b
         specials = [(i2, i1)]
         tree_arcs[c1] = []

@@ -21,7 +21,8 @@ from opencob.homology import adapted_basis, change_of_basis
 from opencob.snf import IntMat, smith
 from opencob.statespace import action_matrix, bimodule_of, build, graded_superdim
 from opencob.superalg import (Bimodule, GradedIso, SuperAlgebra, TensorResult,
-                              bits, external_tensor, is_graded_iso)
+                              bits, external_tensor, is_graded_iso,
+                              regular_bimodule)
 from opencob.surface import (BoundaryCircle, Component, NotOutgoing,
                              SuturedSurface, compose, disjoint_union,
                              identity_cobordism, open_pants, rank_h)
@@ -431,13 +432,18 @@ class TestMonoidalWitnesses:
             assert isinstance(iso, GradedIso)
 
     def test_identity_iso_all_gradings(self):
-        # the identity is the symmetrizer with an empty second block
+        # the identity is the symmetrizer with an empty second block, and
+        # its target is A(m) over itself
         for m in (1, 2, 3):
+            regular = regular_bimodule(SuperAlgebra(m))
             for grading in (PRESET_TENSOR, PRESET_HALF, GENERIC):
                 iso = identity_iso(m, grading)
                 assert isinstance(iso, GradedIso)
                 sym = symmetrizer_iso(m, 0, grading)
                 assert iso.matrix == sym.matrix and iso.checks == sym.checks
+                assert iso.target.grades == regular.grades
+                assert iso.target.left_actions == regular.left_actions
+                assert iso.target.right_actions == regular.right_actions
 
     def test_symmetrizer_iso(self):
         for m1, m2 in ((1, 1), (1, 2), (2, 1), (2, 2)):
