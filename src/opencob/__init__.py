@@ -13,8 +13,8 @@ from .homology import (H1Basis, adapted_basis, canonical_basis,
                        change_of_basis, cw_relative_h1, model_of)
 from .laurent import LaurentPoly
 from .snf import smith_normal_form
-from .statespace import (StateSpace, bimodule_of, build, graded_superdim,
-                         reference_dimension_fgp)
+from .statespace import (StateSpace, StateSpaceTooLarge, bimodule_of, build,
+                         graded_superdim, reference_dimension_fgp)
 from .superalg import (AlgebraElement, Bimodule, GradedIso, IsoFailure,
                        SuperAlgebra, associativity_witness,
                        coproduct_left_action, external_tensor, hom_bimodule,

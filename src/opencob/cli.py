@@ -13,7 +13,8 @@ from .grading import (PRESET_HALF, PRESET_TENSOR, Grading, ParityParams,
                       ParityUndefined, ShiftParams)
 from .gluing import compose_iso, self_glue_iso
 from .harness import SUITES, check_max_h, resolve_trials, run_suite
-from .statespace import action_matrix, build, graded_superdim
+from .statespace import (StateSpaceTooLarge, action_matrix, build,
+                         graded_superdim)
 from .surface import SurfaceError, parse_surface, rank_h
 
 
@@ -97,7 +98,7 @@ def cmd_compute(args) -> int:
                         src = space.monomial_label(space.monomials[j])
                         dst = space.monomial_label(space.monomials[i])
                         print(f"  {src} -> {v:+d} * {dst}")
-    except ParityUndefined as exc:
+    except (ParityUndefined, StateSpaceTooLarge) as exc:
         raise SystemExit2(str(exc))
     return 0
 
@@ -122,7 +123,7 @@ def cmd_glue(args) -> int:
     grading = _grading_from_args(args)
     try:
         res = self_glue_iso(surf, args.i1, args.i2, grading)
-    except (SurfaceError, ParityUndefined) as exc:
+    except (SurfaceError, ParityUndefined, StateSpaceTooLarge) as exc:
         raise SystemExit2(str(exc))
     print(f"case: {res.case_tag}")
     print(f"created S- circles: {res.created_sminus_circles}")
@@ -145,7 +146,7 @@ def cmd_compose(args) -> int:
     grading = _grading_from_args(args)
     try:
         res = compose_iso(fp, f, grading)
-    except (SurfaceError, ParityUndefined) as exc:
+    except (SurfaceError, ParityUndefined, StateSpaceTooLarge) as exc:
         raise SystemExit2(str(exc))
     superdim = _superdim(res.composed_space)
     print(f"cases: {', '.join(res.case_tags)}")

@@ -16,8 +16,9 @@ from .homology import (AdaptedBasis, H1Basis, adapted_basis, arc_element,
                        boundary_element, change_of_basis, model_of,
                        torus_element)
 from .snf import IntMat, is_unimodular, smith
-from .statespace import (MAX_STATE_H, StateSpace, action_matrix, bimodule_of,
-                         build, graded_superdim)
+from .statespace import (MAX_STATE_H, StateSpace, acts_from_left,
+                         action_matrix, bimodule_of, build, contraction_matrix,
+                         graded_superdim)
 from .superalg import (Bimodule, GradedIso, GradedMap, Grades, IsoFailure,
                        SuperAlgebra, TensorResult, bits, coproduct_left_action,
                        external_tensor, is_graded_iso, regular_bimodule,
@@ -111,7 +112,16 @@ class QuotientOracle:
 
 
 def _relation_matrix(space: StateSpace, i1: str, i2: str) -> IntMat:
-    return action_matrix(space, i1) + action_matrix(space, i2)
+    """E1 + E2 for two outgoing intervals, as the one contraction by
+    phi1 + phi2: on one side of one space their outer and inner signs
+    agree, and the contraction is linear in phi."""
+    for sid in (i1, i2):
+        if not acts_from_left(space, sid):
+            raise NotOutgoing(f"the gluing relation needs outgoing intervals; "
+                              f"{sid!r} is incoming")
+    basis = space.basis
+    return contraction_matrix(space, [a + b for a, b in zip(
+        basis.phi_values(i1), basis.phi_values(i2))], True)
 
 
 def quotient_oracle(space: StateSpace, i1: str, i2: str,
@@ -160,10 +170,16 @@ class GlueIsoResult:
     target_space: StateSpace
     psi: IntMat               # full-space map Z(F) -> Z(F-bar), kills im(E1+E2)
     relations: IntMat         # matrix of E1 + E2 on Z(F)
-    quotient_basis: list      # surviving adapted monomial labels
+    adapted: H1Basis          # the adapted basis of H_1(F, S+)
+    survivors: list           # adapted monomials that span the quotient
     oracle: QuotientOracle
     degree_shift: int
     parity_shift: int
+
+    @property
+    def quotient_basis(self) -> list:
+        """The surviving adapted monomials' labels."""
+        return [self.adapted.wedge_label(m) for m in self.survivors]
 
     # what every returned result has passed, in the order it is checked
     checks = ("relations", "shifts", "blocks", "intertwining", "ranks",
@@ -374,12 +390,9 @@ def self_glue_iso(surface_or_space, i1: str, i2: str,
                        space.grades.select([space.index[m] for m in survivors]),
                        target.grades, case)
 
-    labels = ["^".join(adapted.basis.elements[i].label for i in bits(m)) or "1"
-              for m in survivors]
-
     return GlueIsoResult(glue.surface, case, glue.created_sminus_circles,
-                         space, target, psi, rel, labels, oracle,
-                         shift, parity_shift)
+                         space, target, psi, rel, adapted.basis, survivors,
+                         oracle, shift, parity_shift)
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,11 @@ class H1Basis:
     def labels(self):
         return [el.label for el in self.elements]
 
+    def wedge_label(self, mask: int) -> str:
+        """The label of the wedge of the elements in ``mask``, lowest first."""
+        return "^".join(el.label for i, el in enumerate(self.elements)
+                        if mask >> i & 1) or "1"
+
     def dump(self) -> str:
         """Debug table: one line per element with its model coordinates."""
         lines = []

@@ -5,15 +5,18 @@ stored column-major as ``{col: {row: value}}`` with explicit shape, which
 suits the engine's highly sparse action/relation matrices.
 
 ``smith`` is the one elimination kernel.  Ranks, invariant factors, the
-quotient bases of ``tensor_middle``, every unimodularity test
+quotient bases of ``tensor_middle``, the unimodularity tests
 (``is_unimodular``), changes of basis (``solve_exact``) and inverses of
 unimodular matrices all come from it.  It eliminates on +-1 pivots taken
 from a worklist of columns ordered by length, records the pivot positions
 instead of swapping rows and columns, and falls back to Euclidean steps
 only when no unit entry is left (after Dumas, Saunders and Villard, JSC
-2001).  ``det_bareiss`` (fraction-free determinant) and ``solve_int`` have
-no caller in the package: they are the tests' independent oracle and
-spans of the benchmark.
+2001).  A matrix that needs no elimination does not reach it:
+``is_unimodular`` accepts a square signed permutation (one +-1 per column,
+on distinct rows) by a single pass over its entries.  ``det_bareiss``
+(fraction-free determinant) and ``solve_int`` have no caller in the
+package: they are the tests' independent oracle and spans of the
+benchmark.
 """
 
 from __future__ import annotations
@@ -394,11 +397,30 @@ def smith(mat, want_u=False, want_uinv=False, want_v=False):
     return SmithForm(diag, rank, u=u, uinv=uinv, v=v)
 
 
+def _is_signed_permutation(mat):
+    """Every column holds exactly one entry, +-1, and no two share a row."""
+    cols = mat.cols
+    if len(cols) != mat.ncols:
+        return False
+    rows = set()
+    for col in cols.values():
+        if len(col) != 1:
+            return False
+        (i, v), = col.items()
+        if v != 1 and v != -1:
+            return False
+        rows.add(i)
+    return len(rows) == mat.nrows
+
+
 def is_unimodular(mat):
-    """Whether ``mat`` is square and invertible over Z: full rank with every
-    invariant factor 1, by one rank-only Smith normal form."""
+    """Whether ``mat`` is square and invertible over Z.  A signed permutation
+    is at once; any other matrix needs full rank with every invariant factor
+    1, by one rank-only Smith normal form."""
     if mat.nrows != mat.ncols:
         return False
+    if _is_signed_permutation(mat):
+        return True
     sf = smith(mat)
     return sf.rank == mat.ncols and sf.is_free_quotient()
 

@@ -6,10 +6,18 @@ factor adding one to the degree.  Interval components of S+ act by odd,
 degree -1, square-zero endomorphisms; outgoing intervals act from the left
 (with the extra sign for commuting past the parity prefactor), incoming
 ones from the right.
+
+Everything about the monomials that depends on the rank h alone (their
+order, index, word lengths and parities) is built once per h and shared by
+every space of that rank (``skeleton``).  ``build`` refuses ranks above
+``MAX_STATE_H`` before it makes anything of size 2^h.  An E-action is the
+contraction by the interval's phi vector, built by ``contraction_matrix``
+with one comprehension per basis element on which phi is nonzero.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,13 +26,17 @@ from .grading import Grading
 from .homology import H1Basis, IncompatibleBases, canonical_basis
 from .laurent import LaurentPoly
 from .snf import IntMat
-from .superalg import (ActionRelationViolation, Bimodule, Grades, SuperAlgebra,
-                       bits)
-from .surface import NotAnInterval, SuturedSurface
+from .superalg import ActionRelationViolation, Bimodule, Grades, SuperAlgebra
+from .surface import NotAnInterval, SuturedSurface, rank_h
 
 # Largest rank h whose 2^h-dimensional state space the verifier builds:
-# the composable pairs (h_p + h_f) and the pants p are capped at it.
+# ``build`` refuses anything larger, and the composable pairs (h_p + h_f)
+# and the pants p are capped at it.
 MAX_STATE_H = 13
+
+
+class StateSpaceTooLarge(ValueError):
+    """A state space of rank 2^h with h above ``MAX_STATE_H`` was requested."""
 
 
 @dataclass
@@ -32,7 +44,7 @@ class StateSpace:
     surface: SuturedSurface
     grading: Grading
     basis: H1Basis
-    monomials: list          # bitmasks over the basis, (size, lex) order
+    monomials: tuple         # bitmasks over the basis, (size, lex) order
     index: dict              # bitmask -> position
     delta: Fraction
     parity0: int             # parity of the prefactor epsilon_F
@@ -56,7 +68,7 @@ class StateSpace:
         return len(self.monomials)
 
     def monomial_label(self, mask: int) -> str:
-        return "^".join(self.basis.elements[i].label for i in bits(mask)) or "1"
+        return self.basis.wedge_label(mask)
 
 
 def monomial_order(h: int):
@@ -70,26 +82,49 @@ def monomial_order(h: int):
     return out
 
 
+@dataclass(frozen=True)
+class Skeleton:
+    """The monomials of every rank-h state space.  Shared by all spaces of
+    that rank, so nothing may mutate it, ``index`` included."""
+
+    monomials: tuple     # bitmasks, (size, lex) order
+    index: dict          # bitmask -> position
+    words: tuple         # word length of each monomial
+    parities: tuple      # parities[p] for parity0 p: (p + word) & 1
+
+
+@functools.cache
+def skeleton(h: int) -> Skeleton:
+    monos = tuple(monomial_order(h))
+    words = tuple(m.bit_count() for m in monos)
+    even = tuple(w & 1 for w in words)
+    return Skeleton(monos, {m: k for k, m in enumerate(monos)}, words,
+                    (even, tuple(p ^ 1 for p in even)))
+
+
 def build(surface: SuturedSurface, grading: Grading,
           basis: H1Basis | None = None) -> StateSpace:
+    """Z(F) on ``basis`` (the canonical one by default); StateSpaceTooLarge
+    when h exceeds ``MAX_STATE_H``."""
+    h = rank_h(surface) if basis is None else len(basis)
+    if h > MAX_STATE_H:
+        raise StateSpaceTooLarge(
+            f"Z(F) has rank 2^{h}; h = {h} exceeds the cap of {MAX_STATE_H}")
     if basis is None:
         basis = canonical_basis(surface)
     if basis.model.surface != surface:
         raise IncompatibleBases("basis belongs to a different surface")
-    monos = monomial_order(len(basis))
-    index = {m: k for k, m in enumerate(monos)}
+    sk = skeleton(len(basis))
     d0 = grading.delta(surface)
     p0 = grading.pi(surface)
-    words = [m.bit_count() for m in monos]
-    grades = Grades(d0, words, [(p0 + w) & 1 for w in words])
-    return StateSpace(surface, grading, basis, monos, index, d0, p0, grades, {})
+    grades = Grades(d0, sk.words, sk.parities[p0 & 1])
+    return StateSpace(surface, grading, basis, sk.monomials, sk.index, d0, p0,
+                      grades, {})
 
 
-def action_matrix(space: StateSpace, interval: str) -> IntMat:
-    """The matrix of E_interval on Z(F), cached on the space."""
-    cached = space.action_cache.get(interval)
-    if cached is not None:
-        return cached
+def acts_from_left(space: StateSpace, interval: str) -> bool:
+    """Whether E_interval acts from the left (outgoing) or from the right
+    (incoming); NotAnInterval when ``interval`` is no S+ interval."""
     surface = space.surface
     if interval in surface.outgoing:
         outgoing = True
@@ -99,24 +134,48 @@ def action_matrix(space: StateSpace, interval: str) -> IntMat:
         raise NotAnInterval(f"{interval!r} is not an S+ component of this surface")
     if not surface.is_interval(interval):
         raise NotAnInterval(f"{interval!r} is an S+ circle, not an interval")
-    phis = space.basis.phi_values(interval)
+    return outgoing
+
+
+def contraction_matrix(space: StateSpace, phis, outgoing: bool) -> IntMat:
+    """The contraction by ``phis`` (one integer per basis element) on Z(F),
+    acting from the left when ``outgoing`` and from the right otherwise.
+
+    The monomial e_{i_1} ^ ... ^ e_{i_k} (i_1 < ... < i_k) goes to the sum
+    over its factors e_i of ``phis[i]`` times the monomial without e_i,
+    with the sign of moving e_i to the front (left) or to the back (right),
+    and on the left the extra sign of passing an odd prefactor.  This is
+    linear in ``phis``.
+    """
+    monos, index = space.monomials, space.index
     outer = -1 if (outgoing and space.parity0 % 2) else 1
-    live = 0
+    full = (1 << len(phis)) - 1
+    cols: dict[int, dict[int, int]] = {}
     for i, v in enumerate(phis):
-        if v:
-            live |= 1 << i
-    index = space.index
-    mat = IntMat(space.dim, space.dim)
-    for mask in space.monomials:
-        hits = mask & live
-        if not hits:
+        if not v:
             continue
-        k = mask.bit_count()
-        col = mat.cols[index[mask]] = {}
-        for i in bits(hits):     # distinct i, distinct targets, phis[i] != 0
-            r = (mask & ((1 << i) - 1)).bit_count()
-            inner = -1 if (r % 2 if outgoing else (k - 1 - r) % 2) else 1
-            col[index[mask ^ (1 << i)]] = outer * inner * phis[i]
+        bit = 1 << i
+        # the factors that e_i moves past: those below it, or those above it
+        past = bit - 1 if outgoing else full ^ (2 * bit - 1)
+        c = outer * v
+        entries = [(k, index[m ^ bit], -c if (m & past).bit_count() & 1 else c)
+                   for k, m in enumerate(monos) if m & bit]
+        for k, r, w in entries:    # distinct i, distinct rows in a column
+            col = cols.get(k)
+            if col is None:
+                cols[k] = {r: w}
+            else:
+                col[r] = w
+    return IntMat(space.dim, space.dim, cols)
+
+
+def action_matrix(space: StateSpace, interval: str) -> IntMat:
+    """The matrix of E_interval on Z(F), cached on the space."""
+    cached = space.action_cache.get(interval)
+    if cached is not None:
+        return cached
+    outgoing = acts_from_left(space, interval)
+    mat = contraction_matrix(space, space.basis.phi_values(interval), outgoing)
     space.action_cache[interval] = mat
     return mat
 

@@ -89,10 +89,6 @@ class AlgebraElement:
             algebra, tuple(sorted((m, c) for m, c in coeffs.items() if c)))
 
     @staticmethod
-    def unit(algebra) -> "AlgebraElement":
-        return AlgebraElement.make(algebra, {0: 1})
-
-    @staticmethod
     def gen(algebra, i: int) -> "AlgebraElement":
         if not 0 <= i < algebra.m:
             raise AlgebraMismatch(f"no generator {i} in a {algebra.m}-fold power")
@@ -406,12 +402,6 @@ class AlgHom:
                 multiply(self.images[j], self.images[i])
             if anti.terms:
                 raise NotAHomomorphism(f"images of generators {i},{j} do not anticommute")
-
-    def apply_monomial(self, mask: int) -> AlgebraElement:
-        out = AlgebraElement.unit(self.dst)
-        for i in bits(mask):
-            out = multiply(out, self.images[i])
-        return out
 
 
 def identity_hom(algebra: SuperAlgebra) -> AlgHom:

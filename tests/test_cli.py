@@ -80,6 +80,32 @@ class TestCompute:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.fixture
+def genus_25_file(tmp_path):
+    # h = 4 for the first component and 50 for the closed genus-25 one
+    path = tmp_path / "big.surf"
+    path.write_text("component A genus 1\ncircle A mixed i1 - i2 - i3 -\n"
+                    "outgoing i1 i2 i3\ncomponent C9 genus 25\n")
+    return str(path)
+
+
+class TestSizeGate:
+    def test_h_answers(self, genus_25_file, capsys):
+        assert main(["compute", genus_25_file, "h"]) == 0
+        assert capsys.readouterr().out.strip() == "h = 54"
+
+    @pytest.mark.parametrize("argv", [["compute", "superdim"],
+                                      ["compute", "actions"],
+                                      ["glue", "i1", "i2"]])
+    def test_refused_with_exit_2(self, genus_25_file, capsys, argv):
+        assert main([argv[0], genus_25_file, *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "h = 54 exceeds" in captured.err
+        assert "Traceback" not in captured.err
+
+
 class TestGlueCompose:
     def test_glue(self, tmp_path, capsys):
         path = tmp_path / "rect.surf"

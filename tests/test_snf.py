@@ -4,9 +4,10 @@ from math import gcd
 
 import pytest
 
+from opencob import snf
 from opencob.gluing import ConventionMismatch, _int_inverse
-from opencob.snf import (IntMat, det_bareiss, smith, smith_normal_form,
-                         solve_exact, solve_int)
+from opencob.snf import (IntMat, det_bareiss, is_unimodular, smith,
+                         smith_normal_form, solve_exact, solve_int)
 
 
 def dense_mul(a, b):
@@ -274,3 +275,57 @@ class TestIntInverse:
     def test_refuses_non_unimodular(self):
         with pytest.raises(ConventionMismatch):
             _int_inverse(IntMat.from_dense([[2, 0], [0, 1]]))
+
+
+class TestSignedPermutationExit:
+    """``is_unimodular`` accepts a square signed permutation without
+    ``smith``; every other matrix reaches ``smith`` and gets the verdict of
+    the ``det_bareiss`` oracle."""
+
+    @pytest.fixture
+    def smith_calls(self, monkeypatch):
+        calls = []
+
+        def counted(mat, *args, **kwargs):
+            calls.append(mat)
+            return smith(mat, *args, **kwargs)
+
+        monkeypatch.setattr(snf, "smith", counted)
+        return calls
+
+    @staticmethod
+    def oracle(rows, nrows, ncols):
+        return nrows == ncols and abs(det_bareiss(rows)) == 1
+
+    def test_signed_permutations_skip_smith(self, smith_calls):
+        rng = random.Random(5)
+        negative = 0
+        for n in range(7):
+            for _ in range(6):
+                perm = rng.sample(range(n), n)
+                signs = [rng.choice((1, -1)) for _ in range(n)]
+                negative += signs.count(-1)
+                mat = IntMat(n, n, {j: {perm[j]: signs[j]} for j in range(n)})
+                assert is_unimodular(mat)
+                assert self.oracle(mat.to_dense(), n, n)
+        assert negative and not smith_calls
+
+    @pytest.mark.parametrize("name,nrows,ncols,cols", [
+        ("repeated row", 3, 3, {0: {0: 1}, 1: {0: -1}, 2: {2: 1}}),
+        ("empty column", 3, 3, {0: {0: 1}, 2: {2: 1}}),
+        ("entry 2", 3, 3, {0: {1: 1}, 1: {0: 2}, 2: {2: -1}}),
+        ("entry -2", 2, 2, {0: {0: -2}, 1: {1: 1}}),
+        ("two entries in a column", 2, 2, {0: {0: 1, 1: 1}, 1: {1: 1}}),
+        ("non-square", 2, 3, {0: {0: 1}, 1: {1: -1}, 2: {0: 1}}),
+        ("non-square, one unit per column", 3, 2, {0: {0: 1}, 1: {2: 1}}),
+    ])
+    def test_other_matrices_match_the_oracle(self, smith_calls, name, nrows,
+                                             ncols, cols):
+        mat = IntMat(nrows, ncols, cols)
+        assert is_unimodular(mat) == self.oracle(mat.to_dense(), nrows, ncols)
+        assert smith_calls == ([mat] if nrows == ncols else [])
+
+    def test_unimodular_non_permutation_reaches_smith(self, smith_calls):
+        mat = IntMat.from_dense([[1, 1], [0, -1]])
+        assert is_unimodular(mat) and self.oracle(mat.to_dense(), 2, 2)
+        assert smith_calls == [mat]

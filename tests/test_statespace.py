@@ -1,18 +1,24 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from opencob.gluing import _relation_matrix
 from opencob.grading import (PRESET_HALF, PRESET_TENSOR, Grading,
                              ShiftParams)
-from opencob.harness import Bounds, random_surface
-from opencob.homology import H1Basis, arc_element, model_of, torus_element
+from opencob.harness import Bounds, random_parity, random_shift, random_surface
+from opencob.homology import (H1Basis, arc_element, canonical_basis, model_of,
+                              torus_element)
 from opencob.laurent import LaurentPoly
-from opencob.statespace import (action_matrix, bimodule_of, build,
-                                graded_superdim, reference_dimension_fgp)
-from opencob.superalg import GradedMap
+from opencob.snf import IntMat
+from opencob.statespace import (MAX_STATE_H, StateSpaceTooLarge,
+                                action_matrix, bimodule_of, build,
+                                contraction_matrix, graded_superdim,
+                                reference_dimension_fgp, skeleton)
+from opencob.superalg import GradedMap, bits
 from opencob.surface import (BoundaryCircle, Component, NotAnInterval,
-                             SuturedSurface, disjoint_union,
+                             NotOutgoing, SuturedSurface, disjoint_union,
                              identity_cobordism, open_pants, rank_h,
                              surface_fgp)
 
@@ -25,7 +31,7 @@ class TestBuild:
         space = build(identity_cobordism(["a"]), PRESET_TENSOR)
         assert space.dim == 2
         assert space.degrees == [F(-1), F(0)]
-        assert space.parities == [1, 0]
+        assert space.parities == (1, 0)
 
     def test_rank_is_power_of_two(self):
         rng = random.Random(0)
@@ -44,14 +50,143 @@ class TestBuild:
 
     def test_monomial_order(self):
         space = build(open_pants(3), PRESET_TENSOR)
-        assert space.monomials[:4] == [0b000, 0b001, 0b010, 0b100]
-        assert space.monomials[4:7] == [0b011, 0b101, 0b110]
+        assert space.monomials[:4] == (0b000, 0b001, 0b010, 0b100)
+        assert space.monomials[4:7] == (0b011, 0b101, 0b110)
         assert space.monomials[7] == 0b111
 
     def test_degree_spread(self):
         space = build(surface_fgp(1, 2), PRESET_HALF)
         lo, hi = min(space.degrees), max(space.degrees)
         assert lo == space.delta and hi == space.delta + space.h
+
+
+def with_genus_25(surface):
+    """``surface`` and a closed genus-25 component: h grows by 50."""
+    return disjoint_union(surface, SuturedSurface((Component(25, ()),), (), ()))
+
+
+class TestSizeGate:
+    def test_refused_before_the_skeleton(self):
+        big = with_genus_25(open_pants(2))
+        h = rank_h(big)
+        assert h == 52 > MAX_STATE_H
+        before = skeleton.cache_info()
+        with pytest.raises(StateSpaceTooLarge, match=f"h = {h} exceeds"):
+            build(big, PRESET_TENSOR)
+        with pytest.raises(StateSpaceTooLarge, match=f"h = {h} exceeds"):
+            build(big, PRESET_TENSOR, canonical_basis(big))
+        assert skeleton.cache_info() == before
+
+    def test_the_cap_itself_builds(self):
+        space = build(open_pants(MAX_STATE_H), PRESET_TENSOR)
+        assert space.dim == 2 ** MAX_STATE_H
+
+
+class TestSkeleton:
+    def test_spaces_of_one_rank_share_it(self):
+        a = build(open_pants(3), PRESET_TENSOR)
+        b = build(surface_fgp(1, 2), PRESET_HALF)
+        assert a.h == b.h == 3 and a.surface != b.surface
+        assert a.monomials is b.monomials and a.index is b.index
+        assert a.grades.words is b.grades.words
+        sk = skeleton(3)
+        assert a.monomials is sk.monomials
+        assert a.parities is sk.parities[a.parity0]
+        assert b.parities is sk.parities[b.parity0]
+        assert build(open_pants(4), PRESET_TENSOR).monomials is not a.monomials
+
+    def test_parity_patterns(self):
+        for h in range(6):
+            sk = skeleton(h)
+            assert all(type(f) is tuple for f in (sk.monomials, sk.words,
+                                                  *sk.parities))
+            for p0 in (0, 1):
+                assert sk.parities[p0] == tuple((p0 + w) & 1 for w in sk.words)
+            assert sk.words == tuple(m.bit_count() for m in sk.monomials)
+            assert sk.index == {m: k for k, m in enumerate(sk.monomials)}
+
+
+def reference_action(space, phis, outgoing):
+    """The E-action walked mask by mask and factor by factor: each factor
+    e_i of a monomial counts the factors it passes (those below it on the
+    left, those above it on the right)."""
+    outer = -1 if (outgoing and space.parity0 % 2) else 1
+    live = 0
+    for i, v in enumerate(phis):
+        if v:
+            live |= 1 << i
+    index = space.index
+    mat = IntMat(space.dim, space.dim)
+    for mask in space.monomials:
+        hits = mask & live
+        if not hits:
+            continue
+        k = mask.bit_count()
+        col = mat.cols[index[mask]] = {}
+        for i in bits(hits):     # distinct i, distinct targets, phis[i] != 0
+            r = (mask & ((1 << i) - 1)).bit_count()
+            inner = -1 if (r % 2 if outgoing else (k - 1 - r) % 2) else 1
+            col[index[mask ^ (1 << i)]] = outer * inner * phis[i]
+    return mat
+
+
+def contraction_corpus(seed, n):
+    """Seeded spaces with rational shifts and random parities, both kinds
+    of boundary intervals, and at least two intervals each."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        s = random_surface(rng, Bounds(max_h=6), all_outgoing=len(out) % 2 == 0)
+        if len(s.interval_ids()) >= 2:
+            grading = Grading(random_shift(rng), random_parity(rng))
+            out.append(build(s, grading))
+    return out
+
+
+class TestContraction:
+    def test_action_matrix_matches_the_reference(self):
+        sides, parities, most_live = set(), set(), 0
+        for space in contraction_corpus(11, 40):
+            s = space.surface
+            parities.add(space.parity0)
+            for sid in s.interval_ids():
+                outgoing = sid in s.outgoing
+                sides.add(outgoing)
+                phis = space.basis.phi_values(sid)
+                most_live = max(most_live, sum(1 for v in phis if v))
+                assert action_matrix(space, sid) == \
+                    reference_action(space, phis, outgoing)
+        assert sides == {True, False} and parities == {0, 1}
+        assert most_live >= 3
+
+    def test_any_phi_matches_the_reference(self):
+        rng = random.Random(12)
+        entries = set()
+        for space in contraction_corpus(12, 30):
+            for outgoing in (True, False):
+                phis = [rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(space.h)]
+                mat = contraction_matrix(space, phis, outgoing)
+                assert mat == reference_action(space, phis, outgoing)
+                entries.update(v for col in mat.cols.values() for v in col.values())
+        assert {2, -2, 3, -3} <= entries
+
+    def test_relation_is_the_sum_of_two_actions(self):
+        parities, pairs = set(), 0
+        for space in contraction_corpus(13, 40):
+            s = space.surface
+            if s.incoming:
+                continue
+            parities.add(space.parity0)
+            for i1, i2 in itertools.permutations(s.interval_ids(), 2):
+                assert _relation_matrix(space, i1, i2) == \
+                    action_matrix(space, i1) + action_matrix(space, i2)
+                pairs += 1
+        assert parities == {0, 1} and pairs > 40
+
+    def test_relation_needs_outgoing_intervals(self):
+        space = build(identity_cobordism(["a"]), PRESET_TENSOR)
+        with pytest.raises(NotOutgoing):
+            _relation_matrix(space, "a.out", "a.in")
 
 
 class TestEAction:

@@ -240,7 +240,11 @@ class TestHoms:
         ev = IntMat(4, 16)
         for s in range(4):
             for tmask in range(4):
-                img = multiply(el(A2, {s: 1}), ghom.apply_monomial(tmask))
+                # sigma(E_T): the product of the images of T's generators
+                img = el(A2, {s: 1})
+                for i in range(2):
+                    if tmask >> i & 1:
+                        img = multiply(img, ghom.images[i])
                 ev.set_col(s * 4 + tmask, dict(img.terms))
         w = ev @ t.section
         iso = is_graded_iso(w, t.bimodule, reg)
