@@ -71,10 +71,6 @@ TENSOR_SHIFT = ShiftParams(Fraction(1), Fraction(0), Fraction(0), Fraction(0))
 TENSOR_PARITY = ParityParams(0, 0, 0, 0)
 
 
-def delta_half(surface: SuturedSurface) -> Fraction:
-    return delta(HALF_SHIFT, surface)
-
-
 def half_parity_defined(surface: SuturedSurface) -> bool:
     """The integrality condition: #S+ intervals = 2 #(S- -meeting circles) mod 4."""
     return _half_parity_defined(counts(surface))

@@ -5,8 +5,6 @@ Coefficients are keyed by twice the exponent, so keys stay integers.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 class LaurentPoly:
     """Finitely supported map {2*exponent: coefficient}."""
@@ -21,20 +19,8 @@ class LaurentPoly:
                     self.coeffs[k] = v
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def one(cls):
         return cls({0: 1})
-
-    @classmethod
-    def term(cls, coeff, exponent):
-        """coeff * t^exponent for an integer, Fraction, or half-integer exponent."""
-        e2 = Fraction(exponent) * 2
-        if e2.denominator != 1:
-            raise ValueError(f"exponent {exponent} not on the half-integer grid")
-        return cls({int(e2): coeff})
 
     @classmethod
     def t_half_power(cls, exp2, coeff=1):

@@ -35,26 +35,8 @@ class IntMat:
         self.cols = {} if cols is None else cols
 
     @classmethod
-    def from_dense(cls, rows):
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        cols: dict[int, dict[int, int]] = {}
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                if v:
-                    cols.setdefault(j, {})[i] = v
-        return cls(nrows, ncols, cols)
-
-    @classmethod
     def identity(cls, n):
         return cls(n, n, {j: {j: 1} for j in range(n)})
-
-    def to_dense(self):
-        out = [[0] * self.ncols for _ in range(self.nrows)]
-        for j, col in self.cols.items():
-            for i, v in col.items():
-                out[i][j] = v
-        return out
 
     def set_col(self, j, col):
         col = {i: v for i, v in col.items() if v}
@@ -423,21 +405,6 @@ def is_unimodular(mat):
         return True
     sf = smith(mat)
     return sf.rank == mat.ncols and sf.is_free_quotient()
-
-
-def smith_normal_form(rows):
-    """Dense convenience wrapper: returns (U, D, V) with U M V = D.
-
-    All three are dense lists of lists of ints; U and V are unimodular and D
-    is diagonal with the divisibility chain.
-    """
-    mat = IntMat.from_dense(rows) if rows else IntMat(0, 0)
-    sf = smith(mat, want_u=True, want_v=True)
-    n, m = mat.nrows, mat.ncols
-    d = [[0] * m for _ in range(n)]
-    for k, val in enumerate(sf.diag):
-        d[k][k] = val
-    return sf.u.to_dense(), d, sf.v.to_dense()
 
 
 def _solve_with(sf, rhs_vec):

@@ -1,9 +1,11 @@
 """Tensor powers of Z[E]/(E^2) and graded bimodules over pairs of them.
 
 Monomials of the m-fold tensor power are encoded as bitmasks over the m
-slots; E_i is odd of degree -1 and distinct slots anticommute.  Bimodules
-store explicit generator action matrices, and every construction re-checks
-the sign relations as exact matrix identities.
+slots; E_i is odd of degree -1 and distinct slots anticommute.  An algebra
+element is a plain {mask: coeff} dict, used only to build a multiplication
+matrix.  Bimodules store explicit generator action matrices, and the sign
+relations are checked once, on those matrices, by ``Bimodule.validate``,
+which every construction runs.
 """
 
 from __future__ import annotations
@@ -18,10 +20,6 @@ from .snf import IntMat, is_unimodular, smith
 
 
 class AlgebraMismatch(ValueError):
-    pass
-
-
-class NotAHomomorphism(ValueError):
     pass
 
 
@@ -78,89 +76,15 @@ class SuperAlgebra:
         return "".join(f"E{j+1}" for j in bits(mask))
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
-    algebra: SuperAlgebra
-    terms: tuple  # sorted ((mask, coeff), ...)
-
-    @staticmethod
-    def make(algebra, coeffs: dict) -> "AlgebraElement":
-        return AlgebraElement(
-            algebra, tuple(sorted((m, c) for m, c in coeffs.items() if c)))
-
-    @staticmethod
-    def gen(algebra, i: int) -> "AlgebraElement":
-        if not 0 <= i < algebra.m:
-            raise AlgebraMismatch(f"no generator {i} in a {algebra.m}-fold power")
-        return AlgebraElement.make(algebra, {1 << i: 1})
-
-    def coeffs(self) -> dict:
-        return dict(self.terms)
-
-    def __add__(self, other):
-        if self.algebra != other.algebra:
-            raise AlgebraMismatch("sum across different algebras")
-        out = self.coeffs()
-        for m, c in other.terms:
-            w = out.get(m, 0) + c
-            if w:
-                out[m] = w
-            else:
-                out.pop(m, None)
-        return AlgebraElement.make(self.algebra, out)
-
-    def __neg__(self):
-        return AlgebraElement.make(self.algebra,
-                                   {m: -c for m, c in self.terms})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return AlgebraElement.make(self.algebra,
-                                       {m: c * other for m, c in self.terms})
-        return multiply(self, other)
-
-    __rmul__ = __mul__
-
-    def is_homogeneous(self):
-        ps = {m.bit_count() for m, _ in self.terms}
-        return len(ps) <= 1
-
-    def parity(self) -> int:
-        if not self.terms:
-            return 0
-        if not self.is_homogeneous():
-            raise ValueError("parity of an inhomogeneous element")
-        return self.terms[0][0].bit_count() & 1
-
-
-def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Koszul-normalized product; E_i E_i terms vanish."""
-    if a.algebra != b.algebra:
-        raise AlgebraMismatch("product across different algebras")
-    out: dict[int, int] = {}
-    for ma, ca in a.terms:
-        for mb, cb in b.terms:
-            merged = koszul_merge(ma, mb)
-            if merged is None:
-                continue
-            sign, mask = merged
-            w = out.get(mask, 0) + sign * ca * cb
-            if w:
-                out[mask] = w
-            else:
-                out.pop(mask, None)
-    return AlgebraElement.make(a.algebra, out)
-
-
-def mult_matrix(algebra: SuperAlgebra, elem: AlgebraElement,
-                side: str) -> IntMat:
-    """Multiplication by ``elem`` on ``algebra`` from the ``side`` ("left"
-    or "right"): column ``mask`` is ``elem * mask`` or ``mask * elem``."""
+def mult_matrix(algebra: SuperAlgebra, elem: dict, side: str) -> IntMat:
+    """Multiplication by ``elem``, a {mask: coeff} element of ``algebra``,
+    from the ``side`` ("left" or "right"): column ``mask`` is ``elem * mask``
+    or ``mask * elem``."""
     left = side == "left"
     out = IntMat(algebra.dim, algebra.dim)
     for mask in algebra.monomials():
         col: dict[int, int] = {}
-        for me, ce in elem.terms:
+        for me, ce in elem.items():
             merged = koszul_merge(me, mask) if left else koszul_merge(mask, me)
             if merged is None:
                 continue
@@ -340,8 +264,8 @@ class Bimodule:
                 f"left=A({self.left.m}), right=A({self.right.m}))")
 
 
-def _generators(algebra: SuperAlgebra) -> tuple:
-    return tuple(AlgebraElement.gen(algebra, i) for i in range(algebra.m))
+def _generators(algebra: SuperAlgebra) -> list:
+    return [{1 << i: 1} for i in range(algebra.m)]
 
 
 def _algebra_bimodule(b: SuperAlgebra, lefts, rights, label) -> Bimodule:
@@ -370,62 +294,21 @@ def coproduct_left_action(p: int) -> Bimodule:
     right action is multiplication.
     """
     algebra = SuperAlgebra(p)
-    delta_e = AlgebraElement.make(algebra, {1 << i: 1 for i in range(p)})
+    delta_e = {1 << i: 1 for i in range(p)}
     return _algebra_bimodule(algebra, [delta_e], _generators(algebra),
                              f"Delta^{p}")
 
 
-@dataclass(frozen=True)
-class AlgHom:
-    """Even degree-0 homomorphism given on generators."""
-
-    src: SuperAlgebra
-    dst: SuperAlgebra
-    images: tuple  # AlgebraElement in dst per generator of src
-
-    def __post_init__(self):
-        if len(self.images) != self.src.m:
-            raise NotAHomomorphism("one image per generator required")
-        for k, el in enumerate(self.images):
-            if el.algebra != self.dst:
-                raise NotAHomomorphism(f"image {k} lives in the wrong algebra")
-            sq = multiply(el, el)
-            if sq.terms:
-                raise NotAHomomorphism(f"image of generator {k} does not square to zero")
-            if el.terms and el.parity() != 1:
-                raise NotAHomomorphism(f"image of generator {k} is not odd")
-            if any(m.bit_count() != 1 for m, _ in el.terms):
-                # degree -1 must be preserved
-                raise NotAHomomorphism(f"image of generator {k} is not of degree -1")
-        for i, j in itertools.combinations(range(self.src.m), 2):
-            anti = multiply(self.images[i], self.images[j]) + \
-                multiply(self.images[j], self.images[i])
-            if anti.terms:
-                raise NotAHomomorphism(f"images of generators {i},{j} do not anticommute")
-
-
-def identity_hom(algebra: SuperAlgebra) -> AlgHom:
-    return AlgHom(algebra, algebra, _generators(algebra))
-
-
-def slot_permutation_hom(src_m: int, perm) -> AlgHom:
-    """E_i -> E_{perm(i)}; covers associators, unitors and the block swap."""
-    src = SuperAlgebra(src_m)
-    dst = SuperAlgebra(src_m)
-    return AlgHom(src, dst,
-                  tuple(AlgebraElement.gen(dst, perm[i]) for i in range(src_m)))
-
-
-def hom_bimodule(f: AlgHom) -> Bimodule:
-    """X_f: the target algebra with right action twisted through f."""
-    return _algebra_bimodule(f.dst, _generators(f.dst), f.images, "X_f")
-
-
 def symmetrizer_bimodule(m1: int, m2: int) -> Bimodule:
-    """X_sigma for the Koszul swap A(m1) (x) A(m2) -> A(m2) (x) A(m1)."""
-    perm = {i: m2 + i for i in range(m1)}
-    perm.update({m1 + j: j for j in range(m2)})
-    return hom_bimodule(slot_permutation_hom(m1 + m2, perm))
+    """X_sigma for the Koszul swap A(m1) (x) A(m2) -> A(m2) (x) A(m1).
+
+    A(m1 + m2) with the right action twisted through sigma: right generator
+    i < m1 multiplies by E_{m2 + i}, and i >= m1 by E_{i - m1}.  With
+    m2 = 0 it is the regular bimodule X_id.
+    """
+    algebra = SuperAlgebra(m1 + m2)
+    gens = _generators(algebra)
+    return _algebra_bimodule(algebra, gens, gens[m2:] + gens[:m2], "X_sigma")
 
 
 # ---------------------------------------------------------------------------
@@ -577,53 +460,6 @@ def tensor_middle(x: Bimodule, y: Bimodule) -> TensorResult:
     bim = Bimodule(x.left, y.right, q_grades, lefts, rights,
                    label=f"({x.label})(x)_B({y.label})")
     return TensorResult(bim, proj, sect, rel)
-
-
-def associativity_witness(x: Bimodule, y: Bimodule, z: Bimodule):
-    """Constructed isomorphism (X (x)_B Y) (x)_C Z -> X (x)_B (Y (x)_C Z).
-
-    Both sides are quotients of the triple tensor product; the witness is
-    the left composite section followed by the right composite projection,
-    verified by is_graded_iso.
-    """
-    xy = tensor_middle(x, y)
-    yz = tensor_middle(y, z)
-    left = tensor_middle(xy.bimodule, z)
-    right = tensor_middle(x, yz.bimodule)
-
-    # embed T_left into the triple ambient: (t, k) -> sum s_xy[t]_{(i,j)} (i,j,k)
-    dim_yz = y.dim * z.dim
-    embed = IntMat(x.dim * dim_yz, left.bimodule.dim)
-    for col_t, col in left.section.cols.items():
-        new: dict[int, int] = {}
-        for pair_idx, v in col.items():
-            t1, k = divmod(pair_idx, z.dim)
-            for ij, w in xy.section.col(t1).items():
-                i, j = divmod(ij, y.dim)
-                triple = i * dim_yz + j * z.dim + k
-                new[triple] = new.get(triple, 0) + v * w
-        embed.set_col(col_t, {a: b for a, b in new.items() if b})
-
-    # project the triple ambient onto T_right: (i,j,k) -> (i, P_yz(j,k))
-    proj = IntMat(right.bimodule.dim, x.dim * dim_yz)
-    for jk in range(dim_yz):
-        pcol = yz.projection.col(jk)
-        if not pcol:
-            continue
-        for i in range(x.dim):
-            col = {}
-            for t2, v in pcol.items():
-                for t_r, w in right.projection.col(i * yz.bimodule.dim + t2).items():
-                    n = col.get(t_r, 0) + v * w
-                    if n:
-                        col[t_r] = n
-                    else:
-                        col.pop(t_r, None)
-            if col:
-                proj.set_col(i * dim_yz + jk, col)
-
-    witness = proj @ embed
-    return is_graded_iso(witness, left.bimodule, right.bimodule)
 
 
 # ---------------------------------------------------------------------------

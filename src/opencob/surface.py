@@ -521,12 +521,6 @@ def symmetrizer_cobordism(labels1, labels2) -> SuturedSurface:
     return SuturedSurface(comps, inc, out)
 
 
-def disk_plus_minus() -> SuturedSurface:
-    """Disk whose boundary is one S+ interval and one S- interval."""
-    comp = Component(0, (BoundaryCircle.mixed("a"),))
-    return SuturedSurface((comp,), (), ("a",))
-
-
 def annulus(side1, side2) -> SuturedSurface:
     """Annulus with the two boundary circles given as circle specs.
 
@@ -543,10 +537,6 @@ def annulus(side1, side2) -> SuturedSurface:
     ids = [i for c in circles for i in c.plus_ids()]
     comp = Component(0, circles)
     return SuturedSurface((comp,), (), tuple(ids))
-
-
-def closed_surface(g: int) -> SuturedSurface:
-    return SuturedSurface((Component(g),), (), ())
 
 
 def _as_labels(labels, offset=0):

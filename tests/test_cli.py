@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -217,3 +218,74 @@ class TestVerify:
         main(["verify", "dimensions", "--seed", "3"])
         out2 = capsys.readouterr().out
         assert out1 == out2
+
+
+BAD_NUMBERS = ("-1", "x", "1/2", "99", "007", "1e3", "2.0")
+STRAY_IDS = ("zz", "C9", "out", "mixed", "full+", "full-", "genus",
+             "incoming", "-")
+
+
+def mutate(rng, text):
+    """One to three token-level edits of a surface file: drop, duplicate or
+    shuffle tokens, put in a bad number or a stray id, shuffle the lines,
+    or add a component."""
+    lines = [line.split() for line in text.splitlines()]
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        line = rng.choice(lines)
+        k = rng.randrange(len(line)) if line else 0
+        op = rng.randrange(7)
+        if op == 0 and line:
+            del line[k]
+        elif op == 1 and line:
+            line.insert(k, line[k])
+        elif op == 2:
+            rng.shuffle(line)
+        elif op == 3:
+            line[k:k + 1] = [rng.choice(BAD_NUMBERS)]
+        elif op == 4:
+            line.insert(k, rng.choice(STRAY_IDS))
+        elif op == 5:
+            rng.shuffle(lines)
+        else:
+            name = f"N{rng.randrange(3)}"
+            lines.append(["component", name, "genus",
+                          rng.choice(("0", "1", "-2", "99", "x"))])
+            if rng.random() < 0.5:
+                lines.append(["circle", name, "mixed",
+                              rng.choice(STRAY_IDS + ("n1",)), "-"])
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+def test_mutated_surface_files_exit_0_or_2(tmp_path, capsys):
+    # malformed input exits 2 with one line on stderr, never a traceback
+    rng = random.Random(2026)
+    outer_path, inner_path = tmp_path / "outer.surf", tmp_path / "inner.surf"
+    codes = []
+    start = time.perf_counter()
+    for _ in range(300):
+        fp, f = harness.random_composable_pair(rng, harness.Bounds(max_h=4))
+        texts = [format_surface(fp), format_surface(f)]
+        k = rng.randrange(2)
+        texts[k] = mutate(rng, texts[k])
+        outer_path.write_text(texts[0])
+        inner_path.write_text(texts[1])
+        target = str((outer_path, inner_path)[k])
+        command = rng.choice(("compute", "glue", "compose"))
+        if command == "compute":
+            argv = ["compute", target,
+                    rng.choice(("h", "delta", "pi", "superdim", "actions"))]
+        elif command == "glue":
+            ids = [t for t in texts[k].split() if not t.startswith("-")]
+            argv = ["glue", target, *(rng.choice(ids + ["zz"]) for _ in range(2))]
+        else:
+            argv = ["compose", str(outer_path), str(inner_path)]
+        argv += rng.choice(([], ["--preset", "half"], ["--preset", "tensor"]))
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2), (argv, texts[k])
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        codes.append(code)
+    assert time.perf_counter() - start < 3
+    # the edits reach past the parser: some runs still succeed
+    assert 0 < codes.count(0) < codes.count(2)

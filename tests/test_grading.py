@@ -7,18 +7,28 @@ from opencob.grading import (H_COEFFS, PRESET_HALF, PRESET_TENSOR,
                              ConstraintCoeffs, Grading, ParityParams,
                              ParityUndefined, ShiftParams,
                              constraint_residuals, delta, delta_coeffs,
-                             delta_half, half_parity_defined, pi, pi_half,
+                             half_parity_defined, pi, pi_half,
                              solve_constraints)
 from opencob.harness import Bounds, random_shift, random_surface
-from opencob.surface import (closed_surface, counts, disjoint_union,
-                             disk_plus_minus, open_pants, rank_h, surface_fgp)
+from opencob.surface import (BoundaryCircle, Component, SuturedSurface,
+                             counts, disjoint_union, open_pants, rank_h,
+                             surface_fgp)
 
 F = Fraction
 
 
+def closed(g):
+    return SuturedSurface((Component(g),), (), ())
+
+
+# a disk whose boundary is one S+ interval and one S- interval
+DISK_PLUS_MINUS = SuturedSurface(
+    (Component(0, (BoundaryCircle.mixed("a"),)),), (), ("a",))
+
+
 class TestDelta:
     def test_tensor_preset_is_minus_h(self):
-        for surf in (surface_fgp(1, 2), open_pants(3), closed_surface(2)):
+        for surf in (surface_fgp(1, 2), open_pants(3), closed(2)):
             assert delta(PRESET_TENSOR.shift, surf) == -rank_h(surf)
 
     def test_pants_with_a1_one(self):
@@ -55,7 +65,7 @@ class TestPi:
                 assert pi(params, open_pants(p)) == (p + n3 * (p + 1)) % 2
 
     def test_closed_genus_g_with_n2(self):
-        assert pi(ParityParams(0, 1, 0, 0), closed_surface(3)) == 1
+        assert pi(ParityParams(0, 1, 0, 0), closed(3)) == 1
 
     def test_additive_mod_2(self):
         rng = random.Random(11)
@@ -74,23 +84,24 @@ class TestHalf:
             for p in range(1, 4):
                 surf = surface_fgp(g, p)
                 h = rank_h(surf)
-                assert delta_half(surf) == F(-h, 2) - F(p, 2) + F(1, 2)
+                assert PRESET_HALF.delta(surf) == F(-h, 2) - F(p, 2) + F(1, 2)
 
     def test_f12(self):
         surf = surface_fgp(1, 2)
-        assert delta_half(surf) == -2
+        assert PRESET_HALF.delta(surf) == -2
         assert pi_half(surf) == 0
 
     def test_disk_plus_minus_undefined(self):
-        assert not half_parity_defined(disk_plus_minus())
+        assert not half_parity_defined(DISK_PLUS_MINUS)
         with pytest.raises(ParityUndefined):
-            pi_half(disk_plus_minus())
+            pi_half(DISK_PLUS_MINUS)
 
     def test_defined_iff_integral(self):
         rng = random.Random(3)
         for _ in range(60):
             surf = random_surface(rng, Bounds(max_h=6))
-            assert half_parity_defined(surf) == (delta_half(surf).denominator == 1)
+            integral = PRESET_HALF.delta(surf).denominator == 1
+            assert half_parity_defined(surf) == integral
 
     def test_pi_half_is_delta_mod_2(self):
         rng = random.Random(5)
@@ -99,12 +110,13 @@ class TestHalf:
             surf = random_surface(rng, Bounds(max_h=6))
             if half_parity_defined(surf):
                 found += 1
-                assert pi_half(surf) == delta_half(surf) % 2
+                assert pi_half(surf) == PRESET_HALF.delta(surf) % 2
         assert found > 5
 
     def test_preset_coherence(self):
         surf = surface_fgp(0, 2)
-        assert PRESET_HALF.delta(surf) == delta_half(surf)
+        half_shift = ShiftParams(F(1, 2), F(1, 2), F(0), F(-1, 2))
+        assert PRESET_HALF.delta(surf) == delta(half_shift, surf)
         assert PRESET_HALF.pi(surf) == pi_half(surf)
 
 

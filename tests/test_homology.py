@@ -10,7 +10,7 @@ from opencob.homology import (BasisElement, H1Basis, IncompatibleBases,
                               torus_element)
 from opencob.snf import IntMat, det_bareiss
 from opencob.surface import (BoundaryCircle, Component, SuturedSurface,
-                             closed_surface, open_pants, rank_h, surface_fgp)
+                             open_pants, rank_h, surface_fgp)
 
 mk = BoundaryCircle.mixed
 
@@ -36,7 +36,7 @@ class TestCanonicalBasis:
         assert len(b) == 3
 
     def test_closed(self):
-        b = canonical_basis(closed_surface(2))
+        b = canonical_basis(surf([Component(2)]))
         assert all(el.kind == "torus" for el in b.elements)
         assert len(b) == 4
 
@@ -121,7 +121,7 @@ class TestBasisValidation:
 def dense_change_of_basis(from_basis, to_basis):
     """``change_of_basis`` as dense rows: column j is from-element j."""
     cols = change_of_basis(from_basis, to_basis)
-    return IntMat(len(cols), len(cols), dict(enumerate(cols))).to_dense()
+    return [[col.get(i, 0) for col in cols] for i in range(len(cols))]
 
 
 class TestChangeOfBasis:
@@ -243,8 +243,8 @@ class TestCWOracle:
             surf([Component(0, (mk("a", "b"),))]),                 # rectangle
             surf([Component(0, (BoundaryCircle.full_minus(),
                                 BoundaryCircle.full_minus()))]),   # S- annulus
-            closed_surface(0),
-            closed_surface(2),
+            surf([Component(0)]),                                  # sphere
+            surf([Component(2)]),                                  # closed genus 2
         ]
         for s in shapes:
             rank, factors = cw_relative_h1(s)

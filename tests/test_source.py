@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -55,9 +56,20 @@ def test_package_is_stdlib_only():
     assert not found, f"imports outside the standard library: {found}"
 
 
-# Kept in snf.py only as the tests' independent oracle and as spans that the
+# Names that no package module uses, each with a file outside the package
+# that does: the README, a demo or the benchmark.  ``det_bareiss`` and
+# ``solve_int`` are the tests' independent oracle and spans that the
 # benchmark wraps; the package itself decides everything through ``smith``.
-ORACLE_ONLY = {"det_bareiss", "solve_int"}
+ENTRY_POINTS = {
+    "annulus": "README.md",
+    "compose": "perfbench/test_checks.py",
+    "det_bareiss": "perfbench/spans.py",
+    "disjoint_union": "demos/04_composition_theorem.py",
+    "dump": "demos/07_homology_oracle.py",
+    "identity_cobordism": "README.md",
+    "solve_int": "perfbench/spans.py",
+}
+REPO = Path(__file__).resolve().parent.parent
 
 
 def references(tree: ast.AST, names) -> list:
@@ -81,14 +93,66 @@ def references(tree: ast.AST, names) -> list:
 def test_references_are_found():
     tree = ast.parse("from .snf import det_bareiss as d\nimport opencob.snf as s\n"
                      "x = s.solve_int(m, v)\n\"det_bareiss\"\n")
-    assert references(tree, ORACLE_ONLY) == [("det_bareiss", 1), ("solve_int", 3)]
+    assert references(tree, {"det_bareiss", "solve_int"}) == [
+        ("det_bareiss", 1), ("solve_int", 3)]
 
 
-def test_oracle_only_names_stay_in_snf():
-    paths = sorted(SOURCE.glob("*.py"))
-    assert any(path.name == "homology.py" for path in paths)
-    found = [f"{path.name}:{line} references {name}"
-             for path in paths if path.name != "snf.py"
-             for name, line in references(ast.parse(path.read_text(encoding="utf-8")),
-                                          ORACLE_ONLY)]
-    assert not found, f"oracle-only names used in the package: {found}"
+def definitions(tree: ast.AST) -> list:
+    """The module-level functions and classes of ``tree`` and the methods of
+    its classes, apart from the dunders that Python calls itself, with their
+    line numbers."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            found += [(sub.name, sub.lineno) for sub in node.body
+                      if isinstance(sub, ast.FunctionDef)
+                      and not (sub.name.startswith("__") and sub.name.endswith("__"))]
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.name, node.lineno))
+    return found
+
+
+def unreferenced(modules: dict) -> list:
+    """The definitions in ``modules`` (file name -> tree) that no module
+    other than ``__init__.py`` references, as (file, line, name)."""
+    defined = [(path, line, name) for path, tree in modules.items()
+               for name, line in definitions(tree)]
+    names = {name for _, _, name in defined}
+    used = {name for path, tree in modules.items() if path != "__init__.py"
+            for name, _ in references(tree, names)}
+    return sorted(item for item in defined if item[2] not in used)
+
+
+def test_unreferenced_definitions_are_found():
+    modules = {
+        "__init__.py": ast.parse("from .a import only_exported, Kept\n"),
+        "a.py": ast.parse("class Kept:\n    def __eq__(self, o): pass\n"
+                          "    def used(self): pass\n    def unused(self): pass\n"
+                          "def only_exported(): pass\ndef helper(): pass\n"
+                          "def caller():\n    def nested(): pass\n"
+                          "    return helper() + Kept().used()\n"),
+        "b.py": ast.parse("from .a import caller\n"),
+    }
+    assert unreferenced(modules) == [("a.py", 4, "unused"),
+                                     ("a.py", 5, "only_exported")]
+
+
+def test_no_dead_api():
+    # every function, class and method is used by the package, or is an
+    # entry point that a file outside it uses; an entry point the package
+    # uses is no longer one
+    modules = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(SOURCE.glob("*.py"))}
+    assert "superalg.py" in modules
+    dead = unreferenced(modules)
+    unlisted = [f"{path}:{line} {name}" for path, line, name in dead
+                if name not in ENTRY_POINTS]
+    assert not unlisted, f"definitions that nothing in the package uses: {unlisted}"
+    live = sorted(set(ENTRY_POINTS) - {name for _, _, name in dead})
+    assert not live, f"entry points that the package itself uses: {live}"
+
+
+def test_entry_points_are_used_where_listed():
+    for name, where in ENTRY_POINTS.items():
+        text = (REPO / where).read_text(encoding="utf-8")
+        assert re.search(rf"\b{name}\b", text), f"{where} does not use {name}"

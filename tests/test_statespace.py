@@ -16,7 +16,7 @@ from opencob.statespace import (MAX_STATE_H, StateSpaceTooLarge,
                                 action_matrix, bimodule_of, build,
                                 contraction_matrix, graded_superdim,
                                 reference_dimension_fgp, skeleton)
-from opencob.superalg import GradedMap, bits
+from opencob.superalg import GradedMap, Grades, bits
 from opencob.surface import (BoundaryCircle, Component, NotAnInterval,
                              NotOutgoing, SuturedSurface, disjoint_union,
                              identity_cobordism, open_pants, rank_h,
@@ -280,8 +280,8 @@ class TestSuperdim:
 
     def test_f12_half(self):
         space = build(surface_fgp(1, 2), PRESET_HALF)
-        want = (LaurentPoly.term(-1, 1) + LaurentPoly.term(3, 0)
-                + LaurentPoly.term(-3, -1) + LaurentPoly.term(1, -2))
+        # -t + 3 - 3 t^-1 + t^-2, keyed by twice the exponent
+        want = LaurentPoly({2: -1, 0: 3, -2: -3, -4: 1})
         assert graded_superdim(space) == want
 
     def test_multiplicative_under_union(self):
@@ -331,8 +331,8 @@ class TestReferencePolys:
 
     def test_g1_p1(self):
         # -(t^(1/2) - t^(-1/2))^2 = -t + 2 - t^-1
-        want = (LaurentPoly.term(-1, 1) + LaurentPoly.term(2, 0)
-                + LaurentPoly.term(-1, -1))
+        want = (LaurentPoly.t_half_power(2, -1) + LaurentPoly.t_half_power(0, 2)
+                + LaurentPoly.t_half_power(-2, -1))
         assert reference_dimension_fgp(1, 1) == want
 
     def test_integrality(self):
@@ -347,13 +347,13 @@ class TestReferencePolys:
 
 class TestLaurentFormatting:
     def test_rendering(self):
-        p = (LaurentPoly.term(-1, 1) + LaurentPoly.term(3, 0)
-             + LaurentPoly.term(-3, -1) + LaurentPoly.term(1, -2))
+        p = LaurentPoly({2: -1, 0: 3, -2: -3, -4: 1})
         assert str(p) == "-t^1 + 3 - 3*t^-1 + t^-2"
-        assert str(LaurentPoly.zero()) == "0"
-        assert str(LaurentPoly.term(1, F(1, 2))) == "t^1/2"
-        assert str(LaurentPoly.term(-2, F(-3, 2))) == "-2*t^-3/2"
+        assert str(LaurentPoly()) == "0"
+        assert str(LaurentPoly.t_half_power(1)) == "t^1/2"
+        assert str(LaurentPoly.t_half_power(-3, -2)) == "-2*t^-3/2"
 
     def test_bad_exponent(self):
-        with pytest.raises(ValueError):
-            LaurentPoly.term(1, F(1, 3))
+        # an exponent off the half-integer grid has no key
+        with pytest.raises(ValueError, match="half-integer grid"):
+            Grades(F(1, 3), [0], [0]).superdim()

@@ -1,4 +1,3 @@
-import itertools
 import inspect
 import random
 from fractions import Fraction
@@ -6,65 +5,64 @@ from fractions import Fraction
 import pytest
 
 from opencob.snf import IntMat
-from opencob.superalg import (ActionRelationViolation, AlgebraElement,
-                              AlgebraMismatch, AlgHom, Bimodule, GradedIso,
-                              Grades, IsoFailure, NotAHomomorphism, SuperAlgebra,
-                              TorsionDetected, coproduct_left_action,
-                              external_tensor, hom_bimodule, identity_hom,
-                              is_graded_iso, multiply, regular_bimodule,
-                              slot_permutation_hom, symmetrizer_bimodule,
-                              tensor_middle)
+from opencob.superalg import (ActionRelationViolation, AlgebraMismatch,
+                              Bimodule, GradedIso, Grades, IsoFailure,
+                              SuperAlgebra, TorsionDetected,
+                              coproduct_left_action, external_tensor,
+                              is_graded_iso, mult_matrix, regular_bimodule,
+                              symmetrizer_bimodule, tensor_middle)
 
 A2 = SuperAlgebra(2)
 A3 = SuperAlgebra(3)
 
 
-def el(algebra, coeffs):
-    return AlgebraElement.make(algebra, coeffs)
-
-
 class TestMultiply:
+    """Products of monomials, read off the columns of the multiplication
+    matrices: column ``mask`` of a left (right) action of E_i is E_i * mask
+    (mask * E_i)."""
+
     def test_disjoint_slots_in_order(self):
         # (E x 1)(1 x E) = E x E
-        a = AlgebraElement.gen(A2, 0)
-        b = AlgebraElement.gen(A2, 1)
-        assert multiply(a, b).terms == ((0b11, 1),)
+        reg = regular_bimodule(A2)
+        assert reg.left_actions[0].col(0b10) == {0b11: 1}
+        assert reg.right_actions[1].col(0b01) == {0b11: 1}
 
     def test_disjoint_slots_out_of_order(self):
         # (1 x E)(E x 1) = -E x E
-        a = AlgebraElement.gen(A2, 1)
-        b = AlgebraElement.gen(A2, 0)
-        assert multiply(a, b).terms == ((0b11, -1),)
+        reg = regular_bimodule(A2)
+        assert reg.left_actions[1].col(0b01) == {0b11: -1}
+        assert reg.right_actions[0].col(0b10) == {0b11: -1}
 
     def test_square_vanishes(self):
-        a = AlgebraElement.gen(A2, 0)
-        assert multiply(a, a).terms == ()
+        reg = regular_bimodule(A2)
+        for acts in (reg.left_actions, reg.right_actions):
+            assert acts[0].col(0b01) == {} and acts[0].col(0b11) == {}
+            assert acts[0].col(0b00) == {0b01: 1}
 
     def test_left_insertion_sign(self):
         # inserting E into slot 2 of E x 1 x E passes one odd factor:
         # E_2 (E x 1 x E) = -(E x E x E).  The spec's worked example claims
         # +1 here, but the r-th term sign is (-1)^{i_r - r} = (-1)^{2-1}.
-        e2 = AlgebraElement.gen(A3, 1)
-        exe = el(A3, {0b101: 1})
-        assert multiply(e2, exe).terms == ((0b111, -1),)
+        assert regular_bimodule(A3).left_actions[1].col(0b101) == {0b111: -1}
 
     def test_insertion_sign_pattern(self):
         # left multiplication by Delta(E): the term filling the r-th empty
         # slot i_r carries (-1)^{i_r - r}
         for p in (2, 3, 4):
-            ap = SuperAlgebra(p)
-            delta_e = el(ap, {1 << i: 1 for i in range(p)})
+            delta_e = coproduct_left_action(p).left_actions[0]
             for mask in range(1 << p):
-                prod = multiply(delta_e, el(ap, {mask: 1}))
                 empty = [i for i in range(p) if not mask >> i & 1]
                 expected = {}
                 for r, i in enumerate(empty, start=1):
                     expected[mask | (1 << i)] = (-1) ** ((i + 1) - r)
-                assert dict(prod.terms) == expected
+                assert delta_e.col(mask) == expected
 
     def test_algebra_mismatch(self):
-        with pytest.raises(AlgebraMismatch):
-            multiply(AlgebraElement.gen(A2, 0), AlgebraElement.gen(A3, 0))
+        a1, reg = SuperAlgebra(1), regular_bimodule(A2)
+        with pytest.raises(AlgebraMismatch, match="middle algebras differ"):
+            tensor_middle(reg, regular_bimodule(A3))
+        with pytest.raises(AlgebraMismatch, match="generator count"):
+            Bimodule(a1, A2, reg.grades, reg.left_actions, reg.right_actions)
 
 
 class TestRegularAndCoproduct:
@@ -93,13 +91,35 @@ class TestBimoduleValidation:
         with pytest.raises(ActionRelationViolation):
             Bimodule(SuperAlgebra(1), SuperAlgebra(0),
                      Grades(Fraction(0), [0, -1], [0, 1]),
-                     [IntMat.from_dense([[0, 1], [1, 0]])], [])
+                     [IntMat(2, 2, {0: {1: 1}, 1: {0: 1}})], [])
+        # odd of degree -1 along 1 -> x -> y, but twice it is not zero
+        with pytest.raises(ActionRelationViolation,
+                           match="chain: left generator 0 does not square to zero"):
+            Bimodule(SuperAlgebra(1), SuperAlgebra(0),
+                     Grades(Fraction(0), [0, -1, -2], [0, 1, 0]),
+                     [IntMat(3, 3, {0: {1: 1}, 1: {2: 1}})], [], label="chain")
 
     def test_broken_degree_detected(self):
         with pytest.raises(ActionRelationViolation):
             Bimodule(SuperAlgebra(1), SuperAlgebra(0),
                      Grades(Fraction(0), [0, -2], [0, 1]),
-                     [IntMat.from_dense([[0, 0], [1, 0]])], [])
+                     [IntMat(2, 2, {0: {1: 1}})], [])
+
+    def test_wrong_shape_detected(self):
+        with pytest.raises(ActionRelationViolation,
+                           match="small: left action 0 has wrong shape"):
+            Bimodule(SuperAlgebra(1), SuperAlgebra(0),
+                     Grades(Fraction(0), [0, -1], [0, 1]),
+                     [IntMat(3, 3)], [], label="small")
+
+    def test_non_commuting_sides_detected(self):
+        # A(2) with left generator E1 and, as its right generator, left
+        # multiplication by E2: the two anticommute instead of commuting
+        a2 = regular_bimodule(A2)
+        with pytest.raises(ActionRelationViolation,
+                           match="twisted: left 0 and right 0 do not commute"):
+            Bimodule(SuperAlgebra(1), SuperAlgebra(1), a2.grades,
+                     a2.left_actions[:1], a2.left_actions[1:], label="twisted")
 
     def test_commuting_left_generators_detected(self):
         # on the basis 1, E1, E2, E1E2 each generator adds its own slot with
@@ -147,6 +167,53 @@ class TestExternalTensor:
             external_tensor(x, y)  # validation runs on construction
 
 
+def associativity_witness(x: Bimodule, y: Bimodule, z: Bimodule):
+    """Constructed isomorphism (X (x)_B Y) (x)_C Z -> X (x)_B (Y (x)_C Z).
+
+    Both sides are quotients of the triple tensor product; the witness is
+    the left composite section followed by the right composite projection,
+    verified by is_graded_iso.
+    """
+    xy = tensor_middle(x, y)
+    yz = tensor_middle(y, z)
+    left = tensor_middle(xy.bimodule, z)
+    right = tensor_middle(x, yz.bimodule)
+
+    # embed T_left into the triple ambient: (t, k) -> sum s_xy[t]_{(i,j)} (i,j,k)
+    dim_yz = y.dim * z.dim
+    embed = IntMat(x.dim * dim_yz, left.bimodule.dim)
+    for col_t, col in left.section.cols.items():
+        new: dict[int, int] = {}
+        for pair_idx, v in col.items():
+            t1, k = divmod(pair_idx, z.dim)
+            for ij, w in xy.section.col(t1).items():
+                i, j = divmod(ij, y.dim)
+                triple = i * dim_yz + j * z.dim + k
+                new[triple] = new.get(triple, 0) + v * w
+        embed.set_col(col_t, {a: b for a, b in new.items() if b})
+
+    # project the triple ambient onto T_right: (i,j,k) -> (i, P_yz(j,k))
+    proj = IntMat(right.bimodule.dim, x.dim * dim_yz)
+    for jk in range(dim_yz):
+        pcol = yz.projection.col(jk)
+        if not pcol:
+            continue
+        for i in range(x.dim):
+            col = {}
+            for t2, v in pcol.items():
+                for t_r, w in right.projection.col(i * yz.bimodule.dim + t2).items():
+                    n = col.get(t_r, 0) + v * w
+                    if n:
+                        col[t_r] = n
+                    else:
+                        col.pop(t_r, None)
+            if col:
+                proj.set_col(i * dim_yz + jk, col)
+
+    witness = proj @ embed
+    return is_graded_iso(witness, left.bimodule, right.bimodule)
+
+
 class TestTensorMiddle:
     def test_unit_right(self):
         # X (x)_B B has the rank of X
@@ -183,7 +250,6 @@ class TestTensorMiddle:
             sorted(zip(ext.degrees, ext.parities))
 
     def test_associative_up_to_witnessed_iso(self):
-        from opencob.superalg import associativity_witness
         triples = [
             (regular_bimodule(SuperAlgebra(1)), coproduct_left_action(1),
              regular_bimodule(SuperAlgebra(1))),
@@ -199,7 +265,7 @@ class TestTensorMiddle:
     def test_torsion_detected(self):
         # doubled actions on both sides of the balancing relation leave a Z/2
         grades = Grades(Fraction(0), [0, -1], [0, 1])
-        two_n = IntMat.from_dense([[0, 0], [2, 0]])
+        two_n = IntMat(2, 2, {0: {1: 2}})
         x = Bimodule(SuperAlgebra(0), SuperAlgebra(1), grades, [], [two_n])
         y = Bimodule(SuperAlgebra(1), SuperAlgebra(0), grades, [two_n], [])
         with pytest.raises(TorsionDetected):
@@ -219,33 +285,42 @@ class TestTensorMiddle:
 
 
 class TestHoms:
+    """Bimodules X_f of slot permutations f: A(m) with the right action
+    twisted through f.  The swap is ``symmetrizer_bimodule``; the identity
+    is the swap with an empty block."""
+
     def test_identity_hom_is_regular(self):
-        bim = hom_bimodule(identity_hom(A2))
         reg = regular_bimodule(A2)
-        assert bim.left_actions == reg.left_actions
-        assert bim.right_actions == reg.right_actions
+        for bim in (symmetrizer_bimodule(2, 0), symmetrizer_bimodule(0, 2)):
+            assert bim.left_actions == reg.left_actions
+            assert bim.right_actions == reg.right_actions
+            assert bim.grades == reg.grades
 
     def test_not_a_homomorphism(self):
-        with pytest.raises(NotAHomomorphism):
-            AlgHom(SuperAlgebra(1), A2, (el(A2, {0b11: 1}),))
+        # sending the generator to E1E2 is even of degree -2: refused on
+        # the action matrix
+        reg = regular_bimodule(A2)
+        with pytest.raises(ActionRelationViolation,
+                           match="right generator 0 is not odd of degree -1"):
+            Bimodule(A2, SuperAlgebra(1), reg.grades, reg.left_actions,
+                     [mult_matrix(A2, {0b11: 1}, "right")])
 
     def test_composition_of_homs(self):
         # X_{g o f} = X_g (x) X_f on the swap instances: sigma^2 = id
         sw = symmetrizer_bimodule(1, 1)
         t = tensor_middle(sw, sw)
         reg = regular_bimodule(A2)
-        # witness: E_S (x) E_T -> E_S . sigma(E_T)
-        perm = {0: 1, 1: 0}
-        ghom = slot_permutation_hom(2, perm)
+        # witness: E_S (x) E_T -> E_S . sigma(E_T), where sigma(E_T) is the
+        # product of the images E_{sigma(i)} of T's generators, in order
+        sigma = {0: 1, 1: 0}
         ev = IntMat(4, 16)
         for s in range(4):
             for tmask in range(4):
-                # sigma(E_T): the product of the images of T's generators
-                img = el(A2, {s: 1})
+                img = {s: 1}
                 for i in range(2):
                     if tmask >> i & 1:
-                        img = multiply(img, ghom.images[i])
-                ev.set_col(s * 4 + tmask, dict(img.terms))
+                        img = reg.right_actions[sigma[i]].apply(img)
+                ev.set_col(s * 4 + tmask, img)
         w = ev @ t.section
         iso = is_graded_iso(w, t.bimodule, reg)
         assert isinstance(iso, GradedIso)
@@ -259,8 +334,8 @@ class TestHoms:
 
     def test_associator_and_unitors_are_regular(self):
         # the associator and unitor bimodules are X_id
-        for algebra in (A2, A3):
-            bim = hom_bimodule(identity_hom(algebra))
+        for algebra in (SuperAlgebra(0), SuperAlgebra(1), A2, A3):
+            bim = symmetrizer_bimodule(algebra.m, 0)
             reg = regular_bimodule(algebra)
             assert bim.left_actions == reg.left_actions
             assert bim.right_actions == reg.right_actions
@@ -275,7 +350,7 @@ class TestIsGradedIso:
 
     def test_degree_shift_fails(self):
         x = regular_bimodule(SuperAlgebra(1))
-        mat = IntMat.from_dense([[0, 1], [1, 0]])
+        mat = IntMat(2, 2, {0: {1: 1}, 1: {0: 1}})
         res = is_graded_iso(mat, x, x)
         assert isinstance(res, IsoFailure)
         assert res.reason == "not block-diagonal"
@@ -316,7 +391,7 @@ class TestIsGradedIso:
     def test_non_unimodular_fails(self):
         a0 = SuperAlgebra(0)
         x = Bimodule(a0, a0, Grades(Fraction(0), [0, 0], [0, 0]), [], [])
-        mat = IntMat.from_dense([[1, 0], [0, 2]])
+        mat = IntMat(2, 2, {0: {0: 1}, 1: {1: 2}})
         res = is_graded_iso(mat, x, x)
         assert isinstance(res, IsoFailure)
         assert res.reason == "not unimodular"
@@ -328,13 +403,30 @@ class TestIsGradedIso:
                      [], [])
 
         def blocks(second):
-            return IntMat.from_dense([[2, 1, 0, 0], [1, 1, 0, 0],
-                                      [0, 0, *second[0]], [0, 0, *second[1]]])
+            # first block [[2, 1], [1, 1]], second block [[1, 1], [1, second]]
+            return IntMat(4, 4, {0: {0: 2, 1: 1}, 1: {0: 1, 1: 1},
+                                 2: {2: 1, 3: 1}, 3: {2: 1, 3: second}})
 
-        assert isinstance(is_graded_iso(blocks([[1, 1], [1, 2]]), x, x), GradedIso)
-        res = is_graded_iso(blocks([[1, 1], [1, 3]]), x, x)
+        assert isinstance(is_graded_iso(blocks(2), x, x), GradedIso)
+        res = is_graded_iso(blocks(3), x, x)
         assert isinstance(res, IsoFailure)
         assert res.reason == "not unimodular"
+
+
+    def test_mismatches_named(self):
+        a0, reg = SuperAlgebra(0), regular_bimodule(A2)
+
+        def free(n):
+            return Bimodule(a0, a0, Grades(Fraction(0), [0] * n, [0] * n), [], [])
+
+        cases = [
+            ("algebra mismatch", IntMat.identity(4), coproduct_left_action(2), reg),
+            ("rank mismatch", IntMat(2, 1, {0: {0: 1}}), free(1), free(2)),
+            ("shape mismatch", IntMat(2, 3, {0: {0: 1}, 1: {1: 1}}), free(2), free(2)),
+        ]
+        for reason, mat, x, y in cases:
+            res = is_graded_iso(mat, x, y)
+            assert isinstance(res, IsoFailure) and res.reason == reason
 
 
 def test_products_always_validate():

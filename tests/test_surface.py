@@ -4,9 +4,8 @@ from opencob.surface import (AlternationViolation, ArityMismatch,
                              BoundaryCircle, CircleInGluingRegion, Component,
                              DuplicateSPlusId, OrderingMismatch, ParseError,
                              SameInterval, SuturedSurface, annulus,
-                             classify_gluing, closed_surface, compose,
-                             counts, disjoint_union, disk_plus_minus,
-                             euler_characteristic, format_surface,
+                             classify_gluing, compose, counts,
+                             disjoint_union, euler_characteristic, format_surface,
                              glue_intervals, identity_cobordism, open_pants,
                              parse_surface, rank_h, surface_fgp,
                              symmetrizer_cobordism)
@@ -55,7 +54,7 @@ class TestCounts:
         assert counts(surface_fgp(2, 3)).as_tuple() == (1, 2, 0, 0, 1, 0, 3, 0, 0)
 
     def test_closed_genus_two(self):
-        assert counts(closed_surface(2)).as_tuple() == (1, 2, 1, 0, 0, 0, 0, 0, 0)
+        assert counts(surf([Component(2)])).as_tuple() == (1, 2, 1, 0, 0, 0, 0, 0, 0)
 
     def test_open_pants(self):
         # one boundary circle carrying p+1 intervals
@@ -65,8 +64,8 @@ class TestCounts:
     def test_rank_h(self):
         assert rank_h(surface_fgp(2, 3)) == 2 * 2 - 1 + 3
         assert rank_h(open_pants(4)) == 4
-        assert rank_h(closed_surface(3)) == 6
-        assert rank_h(disk_plus_minus()) == 0
+        assert rank_h(surf([Component(3)])) == 6
+        assert rank_h(surf([Component(0, (mk("a"),))])) == 0
 
 
 class TestDisjointUnion:
