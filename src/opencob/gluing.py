@@ -9,6 +9,7 @@ step disagrees, which must never happen.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .grading import Grading
@@ -328,6 +329,8 @@ def self_glue_iso(surface_or_space, i1: str, i2: str,
                 else:
                     col.pop(idx, None)
         psi.set_col(j, col)
+    # the wedge-map memos hold every expanded monomial: drop them now
+    del to_adapted, to_canonical, pers_cache
 
     rel = _relation_matrix(space, i1, i2)
 
@@ -362,7 +365,7 @@ def self_glue_iso(surface_or_space, i1: str, i2: str,
         if psi @ e_src != e_dst @ psi:
             raise ConventionMismatch(
                 f"case {case}: E_{sid} does not intertwine")
-        if e_src @ rel != -(rel @ e_src):
+        if not (e_src @ rel).is_negative_of(rel @ e_src):
             raise ConventionMismatch(
                 f"case {case}: E_{sid} does not anticommute with E1+E2")
 
@@ -386,6 +389,7 @@ def self_glue_iso(surface_or_space, i1: str, i2: str,
     # 6. psi is unimodular on the survivors, expanded in the space's basis
     from_adapted = WedgeMap(change_of_basis(adapted.basis, space.basis))
     q = from_adapted.matrix(survivors, space.index)
+    del from_adapted
     certify_unimodular(psi @ q,
                        space.grades.select([space.index[m] for m in survivors]),
                        target.grades, case)
@@ -666,6 +670,13 @@ def _int_inverse(mat: IntMat) -> IntMat:
     return sf.v @ sf.u
 
 
+@functools.cache
+def _regular(m: int) -> Bimodule:
+    """A(m) over itself, built and validated once per m.  Shared by every
+    naturality square on m generators, so nothing may mutate it."""
+    return regular_bimodule(SuperAlgebra(m))
+
+
 def naturality_square(f_space: StateSpace, g_space: StateSpace) -> GradedIso:
     """The monoidal naturality square for a disjoint pair of cobordisms.
 
@@ -677,8 +688,8 @@ def naturality_square(f_space: StateSpace, g_space: StateSpace) -> GradedIso:
     """
     union_witness = union_iso(f_space, g_space)
     ext, bim_u = union_witness.source, union_witness.target
-    mu_out = regular_bimodule(SuperAlgebra(ext.left.m))
-    mu_in = regular_bimodule(SuperAlgebra(ext.right.m))
+    mu_out = _regular(ext.left.m)
+    mu_in = _regular(ext.right.m)
     x = tensor_middle(mu_out, ext)
     y = tensor_middle(bim_u, mu_in)
 

@@ -101,8 +101,19 @@ class IntMat:
             out.cols[j] = {i: -v for i, v in col.items()}
         return out
 
-    def __sub__(self, other):
-        return self + (-other)
+    def is_negative_of(self, other):
+        """Whether ``self == -other``, without forming ``-other``."""
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols) \
+                or self.cols.keys() != other.cols.keys():
+            return False
+        for j, col in self.cols.items():
+            ocol = other.cols[j]
+            if len(col) != len(ocol):
+                return False
+            for i, v in col.items():
+                if ocol.get(i) != -v:
+                    return False
+        return True
 
     def __eq__(self, other):
         if not isinstance(other, IntMat):

@@ -8,11 +8,17 @@ degree -1, square-zero endomorphisms; outgoing intervals act from the left
 ones from the right.
 
 Everything about the monomials that depends on the rank h alone (their
-order, index, word lengths and parities) is built once per h and shared by
-every space of that rank (``skeleton``).  ``build`` refuses ranks above
-``MAX_STATE_H`` before it makes anything of size 2^h.  An E-action is the
-contraction by the interval's phi vector, built by ``contraction_matrix``
-with one comprehension per basis element on which phi is nonzero.
+order, index, word lengths, parities and graded blocks) is built once per
+h and shared by every space of that rank (``skeleton``).  ``build`` refuses
+ranks above ``MAX_STATE_H`` before it makes anything of size 2^h.
+
+An E-action is the contraction by the interval's phi vector.  Which
+monomials contain e_i, where removing e_i sends them and with which sign
+depends on h and i alone, so it is kept once per ``(h, i)`` in a
+``contraction_table``, built when first needed.  ``contraction_matrix``
+reads every E-action and E1 + E2 off these tables, and ``action_matrix``
+builds on demand: no space keeps its actions, because a 2^h-dimensional
+action costs about 1.2 MB at h = 13 and is rarely asked for twice.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .grading import Grading
 from .homology import H1Basis, IncompatibleBases, canonical_basis
@@ -49,7 +56,9 @@ class StateSpace:
     delta: Fraction
     parity0: int             # parity of the prefactor epsilon_F
     grades: Grades           # offset delta, words the word lengths
-    action_cache: dict = None
+    # ``action_matrix`` caches nothing; this stays an always-empty mapping
+    # so that code reading it (``perfbench/spans.py``) keeps working.
+    action_cache = MappingProxyType({})
 
     @property
     def degrees(self):
@@ -85,21 +94,55 @@ def monomial_order(h: int):
 @dataclass(frozen=True)
 class Skeleton:
     """The monomials of every rank-h state space.  Shared by all spaces of
-    that rank, so nothing may mutate it, ``index`` included."""
+    that rank, so nothing may mutate it, ``index`` and ``blocks``
+    included."""
 
     monomials: tuple     # bitmasks, (size, lex) order
     index: dict          # bitmask -> position
     words: tuple         # word length of each monomial
     parities: tuple      # parities[p] for parity0 p: (p + word) & 1
+    blocks: tuple        # blocks[p]: (word, parity) -> tuple of positions
 
 
 @functools.cache
 def skeleton(h: int) -> Skeleton:
     monos = tuple(monomial_order(h))
+    index = {m: k for k, m in enumerate(monos)}
     words = tuple(m.bit_count() for m in monos)
     even = tuple(w & 1 for w in words)
-    return Skeleton(monos, {m: k for k, m in enumerate(monos)}, words,
-                    (even, tuple(p ^ 1 for p in even)))
+    parities = (even, tuple(p ^ 1 for p in even))
+    blocks = []
+    for pattern in parities:
+        lists: dict[tuple, list] = {}
+        for k, key in zip(index.values(), zip(words, pattern)):
+            lists.setdefault(key, []).append(k)
+        blocks.append({key: tuple(ix) for key, ix in lists.items()})
+    return Skeleton(monos, index, words, parities, tuple(blocks))
+
+
+@dataclass(frozen=True)
+class ContractionTable:
+    """Where removing e_i takes the rank-h monomials that contain it.
+    Shared by all spaces of rank h, so nothing may mutate it."""
+
+    cols: tuple          # positions of the monomials m that contain e_i
+    rows: tuple          # positions of m without e_i, in the same order
+    left: bytes          # 1 where e_i passes an odd number of factors below it
+    right: bytes         # 1 where e_i passes an odd number of factors above it
+
+
+@functools.cache
+def contraction_table(h: int, i: int) -> ContractionTable:
+    sk = skeleton(h)
+    index = sk.index
+    bit = 1 << i
+    below, above = bit - 1, ((1 << h) - 1) ^ (2 * bit - 1)
+    hits = [(k, m) for m, k in index.items() if m & bit]
+    # the positions are the skeleton's own ints, not copies of them
+    return ContractionTable(
+        tuple(k for k, _ in hits), tuple(index[m ^ bit] for _, m in hits),
+        bytes((m & below).bit_count() & 1 for _, m in hits),
+        bytes((m & above).bit_count() & 1 for _, m in hits))
 
 
 def build(surface: SuturedSurface, grading: Grading,
@@ -118,8 +161,9 @@ def build(surface: SuturedSurface, grading: Grading,
     d0 = grading.delta(surface)
     p0 = grading.pi(surface)
     grades = Grades(d0, sk.words, sk.parities[p0 & 1])
+    grades.blocks = sk.blocks[p0 & 1]      # fills the cached_property
     return StateSpace(surface, grading, basis, sk.monomials, sk.index, d0, p0,
-                      grades, {})
+                      grades)
 
 
 def acts_from_left(space: StateSpace, interval: str) -> bool:
@@ -147,37 +191,29 @@ def contraction_matrix(space: StateSpace, phis, outgoing: bool) -> IntMat:
     and on the left the extra sign of passing an odd prefactor.  This is
     linear in ``phis``.
     """
-    monos, index = space.monomials, space.index
     outer = -1 if (outgoing and space.parity0 % 2) else 1
-    full = (1 << len(phis)) - 1
     cols: dict[int, dict[int, int]] = {}
     for i, v in enumerate(phis):
         if not v:
             continue
-        bit = 1 << i
-        # the factors that e_i moves past: those below it, or those above it
-        past = bit - 1 if outgoing else full ^ (2 * bit - 1)
+        table = contraction_table(space.h, i)
         c = outer * v
-        entries = [(k, index[m ^ bit], -c if (m & past).bit_count() & 1 else c)
-                   for k, m in enumerate(monos) if m & bit]
-        for k, r, w in entries:    # distinct i, distinct rows in a column
+        signed = (c, -c)
+        # distinct i, distinct rows in a column
+        for k, r, s in zip(table.cols, table.rows,
+                           table.left if outgoing else table.right):
             col = cols.get(k)
             if col is None:
-                cols[k] = {r: w}
+                cols[k] = {r: signed[s]}
             else:
-                col[r] = w
+                col[r] = signed[s]
     return IntMat(space.dim, space.dim, cols)
 
 
 def action_matrix(space: StateSpace, interval: str) -> IntMat:
-    """The matrix of E_interval on Z(F), cached on the space."""
-    cached = space.action_cache.get(interval)
-    if cached is not None:
-        return cached
+    """The matrix of E_interval on Z(F), built on each call."""
     outgoing = acts_from_left(space, interval)
-    mat = contraction_matrix(space, space.basis.phi_values(interval), outgoing)
-    space.action_cache[interval] = mat
-    return mat
+    return contraction_matrix(space, space.basis.phi_values(interval), outgoing)
 
 
 def bimodule_of(space: StateSpace) -> Bimodule:

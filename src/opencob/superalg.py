@@ -116,7 +116,9 @@ class Grades:
 
     @cached_property
     def blocks(self) -> dict:
-        """(word, parity) -> the indices of the basis elements in that block."""
+        """(word, parity) -> the indices of the basis elements in that block.
+        A state space's are set by ``build``, shared by every space of its
+        rank and parity0, so nothing may mutate them."""
         out: dict[tuple, list] = {}
         for i, key in enumerate(zip(self.words, self.parities)):
             out.setdefault(key, []).append(i)
@@ -232,14 +234,12 @@ class Bimodule:
                     f"{self.label}: {side} generator {k} does not square to zero")
         for side, gens in (("left", self.left_actions), ("right", self.right_actions)):
             for i, j in itertools.combinations(range(len(gens)), 2):
-                anti = gens[i] @ gens[j] + gens[j] @ gens[i]
-                if not anti.is_zero():
+                if not (gens[i] @ gens[j]).is_negative_of(gens[j] @ gens[i]):
                     raise ActionRelationViolation(
                         f"{self.label}: {side} generators {i},{j} do not anticommute")
         for i, a in enumerate(self.left_actions):
             for j, b in enumerate(self.right_actions):
-                comm = a @ b - b @ a
-                if not comm.is_zero():
+                if a @ b != b @ a:
                     raise ActionRelationViolation(
                         f"{self.label}: left {i} and right {j} do not commute")
 
@@ -445,18 +445,18 @@ def tensor_middle(x: Bimodule, y: Bimodule) -> TensorResult:
 
     q_grades = Grades(ambient.offset, [key[0] for key in basis_meta],
                       [key[1] for key in basis_meta])
-    ambient_lefts = [_on_first(a, y.dim) for a in x.left_actions]
-    ambient_rights = [_on_second(a, x.dim) for a in y.right_actions]
 
-    acts = []
-    for amb in ambient_lefts + ambient_rights:
+    def induced(amb):
+        """The outer generator ``amb`` on the ambient pair space, pushed
+        down to the quotient; the ambient matrix is dropped on return."""
         proj_amb = proj @ amb
         if not (proj_amb @ rel).is_zero():
             raise ActionRelationViolation(
                 "outer action does not preserve the balancing submodule")
-        acts.append(proj_amb @ sect)
+        return proj_amb @ sect
 
-    lefts, rights = acts[:len(ambient_lefts)], acts[len(ambient_lefts):]
+    lefts = [induced(_on_first(a, y.dim)) for a in x.left_actions]
+    rights = [induced(_on_second(a, x.dim)) for a in y.right_actions]
     bim = Bimodule(x.left, y.right, q_grades, lefts, rights,
                    label=f"({x.label})(x)_B({y.label})")
     return TensorResult(bim, proj, sect, rel)

@@ -133,7 +133,19 @@ class TestIntMat:
         b = from_rows([[1, 0], [3, 1]])
         assert to_rows(a @ b) == [[7, 2], [3, 1]]
         assert to_rows(a + b) == [[2, 2], [3, 2]]
-        assert (a - a).is_zero()
+
+    def test_is_negative_of(self):
+        rng = random.Random(4)
+        for _ in range(200):
+            rows = [[rng.choice((0, 0, 1, -1, 2)) for _ in range(3)]
+                    for _ in range(rng.randint(1, 3))]
+            a = from_rows(rows)
+            b = from_rows([[rng.choice((0, 0, 1, -1, 2)) for _ in range(3)]
+                           for _ in rows])
+            assert a.is_negative_of(-a)
+            assert a.is_negative_of(b) == (a + b).is_zero()
+        # a shape difference is never a negative, even of a zero matrix
+        assert not IntMat(2, 3).is_negative_of(IntMat(3, 2))
 
     def test_submatrix(self):
         a = from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])

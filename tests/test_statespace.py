@@ -14,8 +14,9 @@ from opencob.laurent import LaurentPoly
 from opencob.snf import IntMat
 from opencob.statespace import (MAX_STATE_H, StateSpaceTooLarge,
                                 action_matrix, bimodule_of, build,
-                                contraction_matrix, graded_superdim,
-                                reference_dimension_fgp, skeleton)
+                                contraction_matrix, contraction_table,
+                                graded_superdim, reference_dimension_fgp,
+                                skeleton)
 from opencob.superalg import GradedMap, Grades, bits
 from opencob.surface import (BoundaryCircle, Component, NotAnInterval,
                              NotOutgoing, SuturedSurface, disjoint_union,
@@ -105,6 +106,32 @@ class TestSkeleton:
             assert sk.words == tuple(m.bit_count() for m in sk.monomials)
             assert sk.index == {m: k for k, m in enumerate(sk.monomials)}
 
+    def test_blocks_are_shared(self):
+        a = build(open_pants(3), PRESET_TENSOR)
+        b = build(surface_fgp(1, 2), PRESET_HALF)
+        assert a.grades.blocks is skeleton(3).blocks[a.parity0]
+        for space in (a, b):
+            fresh = Grades(space.delta, space.grades.words, space.parities)
+            assert space.grades.blocks == {
+                key: tuple(ix) for key, ix in fresh.blocks.items()}
+
+    def test_contraction_tables(self):
+        for h in (0, 1, 2, 3, 4, 9):
+            sk = skeleton(h)
+            ints = {id(k) for k in sk.index.values()}
+            for i in range(h):
+                table = contraction_table(h, i)
+                assert table is contraction_table(h, i)
+                masks = [sk.monomials[k] for k in table.cols]
+                assert masks == [m for m in sk.monomials if m >> i & 1]
+                assert [sk.monomials[r] for r in table.rows] == \
+                    [m ^ (1 << i) for m in masks]
+                assert list(table.left) == \
+                    [(m & ((1 << i) - 1)).bit_count() & 1 for m in masks]
+                assert list(table.right) == [(m >> (i + 1)).bit_count() & 1
+                                             for m in masks]
+                assert all(id(k) in ints for k in table.cols + table.rows)
+
 
 def reference_action(space, phis, outgoing):
     """The E-action walked mask by mask and factor by factor: each factor
@@ -169,6 +196,15 @@ class TestContraction:
                 assert mat == reference_action(space, phis, outgoing)
                 entries.update(v for col in mat.cols.values() for v in col.values())
         assert {2, -2, 3, -3} <= entries
+
+    def test_actions_are_built_on_demand(self):
+        space = build(open_pants(3), PRESET_TENSOR)
+        bimodule_of(space)
+        sid = space.surface.interval_ids()[0]
+        first = action_matrix(space, sid)
+        assert action_matrix(space, sid) == first
+        assert action_matrix(space, sid) is not first
+        assert not space.action_cache
 
     def test_relation_is_the_sum_of_two_actions(self):
         parities, pairs = set(), 0
