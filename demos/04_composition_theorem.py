@@ -21,7 +21,7 @@ print()
 print("pants_2 o (identity | identity):")
 ii = disjoint_union(identity_cobordism(["a"]), identity_cobordism(["b"]))
 res = compose_iso(open_pants(2), ii, PRESET_TENSOR)
-print(f"   cases {res.case_tags}, tensor rank {res.tensor.bimodule.dim}, "
+print(f"   cases {res.case_tags}, tensor rank {res.iso.source.dim}, "
       f"superdim {res.superdim()}")
 print()
 

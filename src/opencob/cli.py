@@ -152,7 +152,7 @@ def cmd_compose(args) -> int:
     print(f"cases: {', '.join(res.case_tags)}")
     print(f"composite superdim = {superdim}")
     print("tensor-product graded ranks:")
-    for (d, p), n in sorted(res.tensor.bimodule.block_dims().items()):
+    for (d, p), n in sorted(res.iso.source.block_dims().items()):
         print(f"  ({d}, {p}): {n}")
     if args.matrix:
         _print_matrix("iso matrix (tensor basis -> Z(composite)):", res.iso.matrix)

@@ -21,7 +21,7 @@ from .statespace import (MAX_STATE_H, StateSpace, acts_from_left,
                          action_matrix, bimodule_of, build, contraction_matrix,
                          graded_superdim)
 from .superalg import (Bimodule, GradedIso, GradedMap, Grades, IsoFailure,
-                       SuperAlgebra, TensorResult, bits, coproduct_left_action,
+                       SuperAlgebra, bits, coproduct_left_action,
                        external_tensor, is_graded_iso, regular_bimodule,
                        symmetrizer_bimodule, tensor_middle)
 from .surface import (CASE_DEGREE_SHIFT, NotOutgoing, SuturedSurface,
@@ -170,7 +170,6 @@ class GlueIsoResult:
     source_space: StateSpace
     target_space: StateSpace
     psi: IntMat               # full-space map Z(F) -> Z(F-bar), kills im(E1+E2)
-    relations: IntMat         # matrix of E1 + E2 on Z(F)
     adapted: H1Basis          # the adapted basis of H_1(F, S+)
     survivors: list           # adapted monomials that span the quotient
     oracle: QuotientOracle
@@ -395,7 +394,7 @@ def self_glue_iso(surface_or_space, i1: str, i2: str,
                        target.grades, case)
 
     return GlueIsoResult(glue.surface, case, glue.created_sminus_circles,
-                         space, target, psi, rel, adapted.basis, survivors,
+                         space, target, psi, adapted.basis, survivors,
                          oracle, shift, parity_shift)
 
 
@@ -443,11 +442,10 @@ def _union_map(a: StateSpace, b: StateSpace, u: StateSpace) -> IntMat:
 
 @dataclass
 class ComposeIsoResult:
-    iso: GradedIso
-    tensor: TensorResult
-    steps: list                    # GlueIsoResult per middle interval
+    iso: GradedIso                 # tensor product (iso.source) -> Z(F' o F)
     composed_space: StateSpace
     case_tags: list
+    step_checks: list              # each gluing step's ``checks``
 
     def superdim(self):
         return graded_superdim(self.composed_space)
@@ -459,38 +457,40 @@ def compose_iso(fp: SuturedSurface, f: SuturedSurface, grading: Grading, *,
 
     Follows the proof: map the tensor product onto the all-outgoing union
     with the sign (-1)^{|x| pi(F)}, self-glue one middle interval at a time,
-    then match the composed surface's own bimodule.  ``order`` permutes the
-    gluing sequence.
+    then match the composed surface's own bimodule.  ``order``, a
+    permutation of ``range(len(fp.incoming))``, permutes the gluing sequence.
+
+    The gluings are a fold that carries on only chi, the glued space, the
+    case tag and the step's ``checks``: each step's result is gone before the
+    next gluing starts.  The tensor product is built last.
     """
     compose_preflight(fp, f)
+    n = len(fp.incoming)
+    order = range(n) if order is None else list(order)
+    if any(not isinstance(i, int) for i in order) or sorted(order) != list(range(n)):
+        raise ValueError(f"order must be a permutation of range({n}), got {order}")
     space_p = build(fp, grading)
     space_f = build(f, grading)
-    bim_p = bimodule_of(space_p)
-    bim_f = bimodule_of(space_f)
-    tensor = tensor_middle(bim_p, bim_f)
 
     union, fmap = disjoint_union_with_maps(fp, f)
     g0 = SuturedSurface(union.components, (), union.splus_ids())
-    space_g = _union_space(space_p, space_f, g0, fmap)
+    current = _union_space(space_p, space_f, g0, fmap)
+    chi = _union_map(space_p, space_f, current)
 
     pairs = [(a, fmap[b]) for a, b in zip(fp.incoming, f.outgoing)]
-    if order is None:
-        order = range(len(pairs))
-    chi = _union_map(space_p, space_f, space_g)
-    steps = []
-    current = space_g
+    case_tags, step_checks = [], []
     for idx in order:
-        i1, i2 = pairs[idx]
-        res = self_glue_iso(current, i1, i2)
-        steps.append(res)
-        chi = res.psi @ chi
-        current = res.target_space
+        res = self_glue_iso(current, *pairs[idx])
+        chi, current = res.psi @ chi, res.target_space
+        case_tags.append(res.case_tag)
+        step_checks.append(res.checks)
+        del res
     if not pairs:
         # empty interface: composition is the disjoint union; convert the
         # concatenated basis to the canonical one
         canon = build(g0, grading)
-        to_canon = WedgeMap(change_of_basis(space_g.basis, canon.basis))
-        chi = to_canon.matrix(space_g.monomials, canon.index) @ chi
+        to_canon = WedgeMap(change_of_basis(current.basis, canon.basis))
+        chi = to_canon.matrix(current.monomials, canon.index) @ chi
         current = canon
 
     composed = SuturedSurface(
@@ -502,13 +502,13 @@ def compose_iso(fp: SuturedSurface, f: SuturedSurface, grading: Grading, *,
     if final.basis.elements != current.basis.elements:
         raise ConventionMismatch("composed basis differs from the canonical basis")
 
+    tensor = tensor_middle(bimodule_of(space_p), bimodule_of(space_f))
     if not (chi @ tensor.relations).is_zero():
         raise ConventionMismatch("composition map does not kill the balancing relations")
 
     iso = _verified(chi @ tensor.section, tensor.bimodule, bimodule_of(final),
                     "composition iso")
-    return ComposeIsoResult(iso, tensor, steps, final,
-                            [s.case_tag for s in steps])
+    return ComposeIsoResult(iso, final, case_tags, step_checks)
 
 
 def _signed_permutation(space: StateSpace, target: Bimodule, image) -> IntMat:

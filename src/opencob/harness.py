@@ -259,7 +259,7 @@ def verify_theorem(seed=0, trials=200, max_h=8) -> VerificationReport:
 
     def run(pair_fp, pair_f, grading):
         res = gluing.compose_iso(pair_fp, pair_f, grading)
-        if graded_superdim(res.composed_space) != res.tensor.bimodule.superdim():
+        if graded_superdim(res.composed_space) != res.iso.source.superdim():
             raise gluing.ConventionMismatch("superdimension mismatch")
 
     for t in range(trials):

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction
 from functools import reduce
 
@@ -19,12 +20,12 @@ from opencob.gluing import (CASE_DEGREE_SHIFT, ConventionMismatch,
                             union_iso)
 from opencob.harness import (Bounds, lemma_case_instances,
                              random_composable_pair, random_surface)
-from opencob.homology import adapted_basis, change_of_basis
+from opencob.homology import H1Basis, adapted_basis, change_of_basis
 from opencob.snf import IntMat, smith
 from opencob.statespace import action_matrix, bimodule_of, build, graded_superdim
-from opencob.superalg import (Bimodule, GradedIso, SuperAlgebra, TensorResult,
-                              bits, external_tensor, is_graded_iso,
-                              regular_bimodule)
+from opencob.superalg import (Bimodule, GradedIso, Grades, SuperAlgebra,
+                              TensorResult, bits, external_tensor,
+                              is_graded_iso, regular_bimodule)
 from opencob.surface import (BoundaryCircle, Component, NotOutgoing,
                              SuturedSurface, compose, disjoint_union,
                              identity_cobordism, open_pants, rank_h)
@@ -66,7 +67,8 @@ def explicit_quotient_iso(res, i1, i2):
     relations by one Smith normal form of [q | E1+E2].  Then psi @ q must be
     a graded bimodule isomorphism onto Z(F-bar).
     """
-    space, target, rel = res.source_space, res.target_space, res.relations
+    space, target = res.source_space, res.target_space
+    rel = gluing._relation_matrix(space, i1, i2)
     survivors, q = quotient_representatives(res, i1, i2)
     stacked = IntMat(space.dim, q.ncols + rel.ncols)
     for j, col in q.cols.items():
@@ -136,10 +138,21 @@ class TestSelfGlue:
             certify_unimodular(res.psi @ short, cols, res.target_space.grades,
                                res.case_tag)
 
+    def test_certificate_refuses_a_column_leaving_its_block(self):
+        # unimodular, with equal block sizes, but column 1 (word 1, odd)
+        # reaches row 0 (word 0, even)
+        grades = Grades(0, [0, 1], [0, 1])
+        phi = IntMat(2, 2, {0: {0: 1}, 1: {0: 1, 1: 1}})
+        certify_unimodular(IntMat.identity(2), grades, grades, "1-1")
+        with pytest.raises(ConventionMismatch,
+                           match="case 1-1: psi on the quotient basis leaves "
+                                 "column 1's block"):
+            certify_unimodular(phi, grades, grades, "1-1")
+
     def test_case_2_1b_relations_vanish(self):
         s = surf([Component(0, (mk("i1", "i2"),))])
         res = self_glue_iso(s, "i1", "i2", PRESET_TENSOR)
-        assert res.relations.is_zero()
+        assert gluing._relation_matrix(res.source_space, "i1", "i2").is_zero()
         # quotient is the whole space
         assert len(res.quotient_basis) == res.source_space.dim
 
@@ -269,6 +282,40 @@ class TestCorruptedInputs:
         with pytest.raises(ConventionMismatch, match="case 2-1a: parity shift 0"):
             self_glue_iso(space, "i1", "i2")
 
+    def corrupt_target(self, monkeypatch, corrupt):
+        # the glued space that ``self_glue_iso`` builds, corrupted
+        honest = gluing.build
+        space = honest(self.S, PRESET_TENSOR)
+        self_glue_iso(space, "i1", "i2")
+        monkeypatch.setattr(gluing, "build",
+                            lambda *args: corrupt(honest(*args)))
+        return space
+
+    def test_degree_shift(self, monkeypatch):
+        # the glued space's delta is one more; its grades are untouched
+        space = self.corrupt_target(monkeypatch, lambda target: dataclasses.replace(
+            target, delta=target.delta + 1))
+        shift = CASE_DEGREE_SHIFT["2-1a"]
+        with pytest.raises(ConventionMismatch,
+                           match=f"case 2-1a: degree shift {shift + 1}, "
+                                 f"expected {shift}$"):
+            self_glue_iso(space, "i1", "i2")
+
+    def test_psi_even_of_degree_zero(self, monkeypatch):
+        # the glued space's grades sit one degree higher, its delta does
+        # not: psi now lowers the degree by one (the certificate's block
+        # sizes would refuse it next)
+        def raised(target):
+            g = target.grades
+            return dataclasses.replace(
+                target, grades=Grades(g.offset + 1, g.words, g.parities))
+
+        space = self.corrupt_target(monkeypatch, raised)
+        with pytest.raises(ConventionMismatch,
+                           match=r"case 2-1a: psi is not even of degree zero "
+                                 r"\(column \d+\)"):
+            self_glue_iso(space, "i1", "i2")
+
     def test_map_kills_the_relations(self, monkeypatch):
         # E1+E2 gains the unit column on a monomial that psi does not kill
         honest = gluing._relation_matrix
@@ -339,19 +386,47 @@ class TestCorruptedInputs:
                            match="does not kill the balancing relations"):
             compose_iso(fp, f, PRESET_TENSOR)
 
+    def test_composed_basis(self, monkeypatch):
+        # the composite's own space comes on its canonical basis reversed
+        fp = open_pants(2)
+        f = disjoint_union(identity_cobordism(["a"]), identity_cobordism(["b"]))
+        composed = compose(fp, f)
+        compose_iso(fp, f, PRESET_TENSOR)
+        honest = gluing.build
+
+        def reversed_basis(surface, grading, basis=None):
+            space = honest(surface, grading, basis)
+            if surface != composed:
+                return space
+            elements = space.basis.elements
+            assert len(elements) == 2
+            return honest(surface, grading,
+                          H1Basis(space.basis.model, elements[::-1]))
+
+        monkeypatch.setattr(gluing, "build", reversed_basis)
+        with pytest.raises(ConventionMismatch,
+                           match="composed basis differs from the canonical basis"):
+            compose_iso(fp, f, PRESET_TENSOR)
+
+
+def three_identities():
+    return disjoint_union(disjoint_union(identity_cobordism(["a"]),
+                                         identity_cobordism(["b"])),
+                          identity_cobordism(["c"]))
+
 
 class TestComposeIso:
     def test_identity_composition(self):
         res = compose_iso(identity_cobordism(["b"]), identity_cobordism(["a"]),
                           PRESET_TENSOR)
         assert isinstance(res.iso, GradedIso)
-        assert res.tensor.bimodule.dim == 2
+        assert res.iso.source.dim == 2
         assert str(res.superdim()) == "1 - t^-1"
 
     def test_pants_against_two_identities(self):
         ii = disjoint_union(identity_cobordism(["a"]), identity_cobordism(["b"]))
         res = compose_iso(open_pants(2), ii, PRESET_TENSOR)
-        assert res.tensor.bimodule.dim == 4
+        assert res.iso.source.dim == 4
         p2 = build(open_pants(2), PRESET_TENSOR)
         assert res.superdim() == graded_superdim(p2)
 
@@ -371,10 +446,35 @@ class TestComposeIso:
                 continue
             k = len(f.outgoing)
             r1 = compose_iso(fp, f, PRESET_TENSOR)
-            r2 = compose_iso(fp, f, PRESET_TENSOR, order=list(reversed(range(k))))
+            r2 = compose_iso(fp, f, PRESET_TENSOR, order=reversed(range(k)))
             assert isinstance(r1.iso, GradedIso) and isinstance(r2.iso, GradedIso)
             assert r1.superdim() == r2.superdim()
             found += 1
+
+    @pytest.mark.parametrize("order", [[5], [0, 0], [], [2.0, 0, 1]])
+    def test_order_must_be_a_permutation(self, order):
+        fp, f = open_pants(3), three_identities()
+        with pytest.raises(ValueError, match=r"order must be a permutation of "
+                                             r"range\(3\)"):
+            compose_iso(fp, f, PRESET_TENSOR, order=order)
+
+    def test_step_results_die_before_the_next_gluing(self, monkeypatch):
+        honest = gluing.self_glue_iso
+        results, alive = [], []
+
+        def tracked(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in results))
+            res = honest(*args, **kwargs)
+            results.append(weakref.ref(res))
+            return res
+
+        monkeypatch.setattr(gluing, "self_glue_iso", tracked)
+        res = compose_iso(open_pants(3), three_identities(), PRESET_TENSOR)
+        gc.collect()
+        assert alive == [0, 0, 0]
+        assert all(ref() is None for ref in results)
+        assert res.step_checks == [gluing.GlueIsoResult.checks] * 3
 
     def test_random_pairs_both_presets(self):
         rng = random.Random(42)
@@ -386,8 +486,8 @@ class TestComposeIso:
                 res = compose_iso(fp, f, grading)
                 assert isinstance(res.iso, GradedIso)
                 assert res.iso.checks[-1] == "unimodular"
-                assert all(step.checks[-1] == "unimodular" for step in res.steps)
-                assert res.superdim() == res.tensor.bimodule.superdim()
+                assert all(c[-1] == "unimodular" for c in res.step_checks)
+                assert res.superdim() == res.iso.source.superdim()
 
     def test_generic_params(self):
         rng = random.Random(5)
@@ -410,13 +510,15 @@ class TestWorkingSet:
     """compose_iso's traced memory on one fixed pair with h_p + h_f = 12: a
     genus-5 surface with one incoming interval, after a planar surface with
     one interval on each side.  Under Python 3.11 the second call peaks at
-    6.28 MB above its start and its result keeps 3.78 MB; spaces that cache
-    their E-actions and gluings that keep their wedge-map memos to the end
-    read 9.22 MB and 4.80 MB.  The bounds allow 25% more."""
+    4.36 MB above its start and its result keeps 0.78 MB.  A result that
+    keeps every gluing step's result and the whole tensor product, with the
+    tensor built before the gluings, reads 6.28 MB and 3.78 MB; spaces that
+    also cache their E-actions and gluings that keep their wedge-map memos
+    to the end read 9.22 MB and 4.80 MB.  The bounds allow 25% more."""
 
     FP = SuturedSurface((Component(5, (mk("p1"),)),), ("p1",), ())
     F = SuturedSurface((Component(0, (mk("f1"), mk("f2"))),), ("f2",), ("f1",))
-    PEAK_MB, RETAINED_MB = 6.28, 3.78
+    PEAK_MB, RETAINED_MB = 4.36, 0.78
 
     def test_peak_and_retained_size(self):
         assert rank_h(self.FP) + rank_h(self.F) == 12

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -6,6 +7,8 @@ import opencob.harness as harness
 from opencob.harness import (Bounds, VerificationReport, lemma_case_instances,
                              random_composable_pair, random_surface,
                              run_suite, shrink_surface)
+from opencob.laurent import LaurentPoly
+from opencob.snf import IntMat
 from opencob.surface import Component, compose_preflight, rank_h, validate
 
 
@@ -157,3 +160,80 @@ class TestSuitesSmoke:
         import pytest
         with pytest.raises(ValueError):
             run_suite("nope")
+
+
+def corrupt(monkeypatch, module, name, change):
+    """``module.name`` returns its honest result passed through ``change``."""
+    honest = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: change(honest(*args)))
+
+
+def doubled_top_column(iso):
+    top = iso.matrix.ncols - 1
+    matrix = IntMat(iso.matrix.nrows, iso.matrix.ncols, dict(iso.matrix.cols))
+    matrix.set_col(top, {r: 2 * v for r, v in iso.matrix.col(top).items()})
+    return dataclasses.replace(iso, matrix=matrix)
+
+
+def certified_short(res):
+    res.checks = res.checks[:-1]
+    return res
+
+
+def glued(**changes):
+    """Corrupt every self-gluing result: field -> its new value from the old."""
+    return lambda mp: corrupt(mp, harness.gluing, "self_glue_iso",
+                              lambda res: dataclasses.replace(res, **{
+                                  k: f(getattr(res, k)) for k, f in changes.items()}))
+
+
+T = LaurentPoly.t_half_power(2)
+HALF = LaurentPoly.t_half_power(1)
+
+# suite run, the corruption of the library result it re-checks, and the
+# identity of the failure it must report
+SUITE_CHECKS = {
+    "theorem superdimension": (
+        lambda: harness.verify_theorem(seed=1, trials=1, max_h=4),
+        lambda mp: corrupt(mp, harness, "graded_superdim", lambda sd: sd * T),
+        "ConventionMismatch: superdimension mismatch"),
+    "lemma case tag": (
+        harness.verify_lemma_cases, glued(case_tag=lambda tag: "9-9"),
+        "case 1-1: ConventionMismatch: expected case 1-1, got 9-9"),
+    "lemma S- circles": (
+        harness.verify_lemma_cases, glued(created_sminus_circles=lambda n: n + 1),
+        "case 1-1: ConventionMismatch: expected 1 new S- circles, got 2"),
+    "lemma degree shift": (
+        harness.verify_lemma_cases, glued(degree_shift=lambda d: d + 1),
+        "case 1-1: ConventionMismatch: degree shift 1 != 0"),
+    "lemma certificate": (
+        harness.verify_lemma_cases,
+        lambda mp: corrupt(mp, harness.gluing, "self_glue_iso", certified_short),
+        "case 1-1: ConventionMismatch: gluing certified only by ('relations', "
+        "'shifts', 'blocks', 'intertwining', 'ranks')"),
+    "pants top monomial": (
+        lambda: harness.verify_pants(trials=1),
+        lambda mp: corrupt(mp, harness.gluing, "pants_iso", doubled_top_column),
+        "p=0: ConventionMismatch: top monomial does not map to +-1"),
+    "dimensions closed form": (
+        harness.verify_dimensions,
+        lambda mp: corrupt(mp, harness.statespace, "reference_dimension_fgp",
+                           lambda want: want * T),
+        "(g,p)=(0,1): 1 != t^1"),
+    "dimensions integral exponents": (
+        harness.verify_dimensions,
+        lambda mp: (mp.setattr(harness, "graded_superdim", lambda space: HALF),
+                    mp.setattr(harness.statespace, "reference_dimension_fgp",
+                               lambda g, p: HALF)),
+        "(g,p)=(0,1): non-integral exponent"),
+}
+
+
+@pytest.mark.parametrize("check", SUITE_CHECKS)
+def test_suite_re_checks_fire(monkeypatch, check):
+    # each suite re-checks what the library returned; a corrupted result
+    # is reported as the suite's first failure
+    run, patch, identity = SUITE_CHECKS[check]
+    patch(monkeypatch)
+    report = run()
+    assert report.failures and report.failures[0].identity == identity

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib.util
 import re
 import sys
 from pathlib import Path
@@ -156,3 +157,48 @@ def test_entry_points_are_used_where_listed():
     for name, where in ENTRY_POINTS.items():
         text = (REPO / where).read_text(encoding="utf-8")
         assert re.search(rf"\b{name}\b", text), f"{where} does not use {name}"
+
+
+def load_survey():
+    """The mutation-survey script, ``tools/mutation_survey.py``."""
+    spec = importlib.util.spec_from_file_location(
+        "mutation_survey", REPO / "tools" / "mutation_survey.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_verdict_sites_are_found_and_mutated():
+    survey = load_survey()
+    text = ("class C:\n    def f(self, x):\n        if x:\n"
+            "            raise ConventionMismatch(\n"
+            "                f\"case {x}: bad\")\n        return 1\n"
+            "def g():\n    raise ValueError('no')\n"
+            "def h():\n    return IsoFailure('rank mismatch', 'detail')\n")
+    sites = survey.verdict_sites(ast.parse(text))
+    assert [(scope, template, stmt.lineno) for scope, template, stmt in sites] == [
+        ("C.f", "case {}: bad", 4), ("h", "rank mismatch", 10)]
+    mutant = survey.mutate(text, sites[0][2])
+    assert mutant.count("\n") == text.count("\n")
+    assert mutant.splitlines()[3:5] == ["            pass", ""]
+    assert survey.verdict_sites(ast.parse(mutant))[0][0] == "h"
+
+
+VERDICT = re.compile(r"raise (\w+\.)?(ConventionMismatch|ActionRelationViolation|"
+                     r"TorsionDetected|AlgebraMismatch)\b|return IsoFailure\b")
+
+
+def test_survey_lists_every_verdict_site():
+    # a new check cannot land without its mutant in the survey
+    survey = load_survey()
+    assert survey.LIST_TEST == (f"tests/test_source.py::"
+                                f"{test_survey_lists_every_verdict_site.__name__}")
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        sites = survey.verdict_sites(ast.parse(text))
+        assert len(sites) == len(VERDICT.findall(text)), path.name
+        found += [(path.name, scope, template) for scope, template, _ in sites]
+    assert len(set(found)) == len(found), "two sites share a key"
+    assert sorted(survey.SITES) == sorted(found)
+    assert set(survey.UNREACHABLE) <= set(survey.SITES)
