@@ -18,7 +18,7 @@ for case, created, surf, i1, i2 in lemma_case_instances():
     for line in format_surface(surf).strip().splitlines():
         print("     " + line)
     print("   after:")
-    for line in format_surface(res.glued_surface).strip().splitlines():
+    for line in format_surface(res.target_space.surface).strip().splitlines():
         print("     " + line)
     print(f"   degree shift {res.degree_shift}, parity shift {res.parity_shift}")
     print(f"   quotient basis: {', '.join(res.quotient_basis)}")

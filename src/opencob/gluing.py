@@ -164,7 +164,6 @@ def certify_unimodular(phi: IntMat, cols: Grades, rows: Grades, case: str):
 
 @dataclass
 class GlueIsoResult:
-    glued_surface: SuturedSurface
     case_tag: str
     created_sminus_circles: int
     source_space: StateSpace
@@ -307,29 +306,21 @@ def self_glue_iso(surface_or_space, i1: str, i2: str,
             return rest << 1, -1
         return None
 
-    psi = IntMat(target.dim, space.dim)
-    pers_cache: dict[int, dict] = {}
-    for j, mask in enumerate(space.monomials):
-        col: dict[int, int] = {}
-        for amask, c in to_adapted.expand(mask).items():
-            t = template(amask)
-            if t is None:
-                continue
+    # the identification matrix on adapted monomials: column amask is
+    # template(amask) in Z(F-bar)'s canonical basis, empty where the template
+    # kills amask; psi applies it to each monomial's adapted expansion
+    ident: dict[int, dict] = {}
+    for amask in space.monomials:
+        t = template(amask)
+        if t is not None:
             pmask, tc = t
-            expanded = pers_cache.get(pmask)
-            if expanded is None:
-                expanded = to_canonical.expand(pmask)
-                pers_cache[pmask] = expanded
-            for cmask, v in expanded.items():
-                idx = target.index[cmask]
-                w = col.get(idx, 0) + c * tc * v
-                if w:
-                    col[idx] = w
-                else:
-                    col.pop(idx, None)
-        psi.set_col(j, col)
-    # the wedge-map memos hold every expanded monomial: drop them now
-    del to_adapted, to_canonical, pers_cache
+            ident[amask] = {target.index[m]: tc * v
+                            for m, v in to_canonical.expand(pmask).items()}
+    # the wedge-map memos hold every expanded monomial: drop each once used
+    del to_canonical
+    psi = IntMat(target.dim, space.dim, ident) @ IntMat(space.dim, space.dim, {
+        j: to_adapted.expand(mask) for j, mask in enumerate(space.monomials)})
+    del to_adapted, ident
 
     rel = _relation_matrix(space, i1, i2)
 
@@ -393,7 +384,7 @@ def self_glue_iso(surface_or_space, i1: str, i2: str,
                        space.grades.select([space.index[m] for m in survivors]),
                        target.grades, case)
 
-    return GlueIsoResult(glue.surface, case, glue.created_sminus_circles,
+    return GlueIsoResult(case, glue.created_sminus_circles,
                          space, target, psi, adapted.basis, survivors,
                          oracle, shift, parity_shift)
 

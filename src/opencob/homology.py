@@ -16,6 +16,7 @@ off K-part coefficients; circles map to zero.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .snf import IntMat, is_unimodular, smith, solve_exact
@@ -108,17 +109,11 @@ class H1Model:
         return total
 
 
-_model_cache: dict[SuturedSurface, H1Model] = {}
-
-
+# one composition's surfaces fit; each further entry holds over 1 KB for
+# the life of the process and saves no measurable time
+@functools.lru_cache(maxsize=64)
 def model_of(surface: SuturedSurface) -> H1Model:
-    model = _model_cache.get(surface)
-    if model is None:
-        model = H1Model(surface)
-        if len(_model_cache) > 4096:
-            _model_cache.clear()
-        _model_cache[surface] = model
-    return model
+    return H1Model(surface)
 
 
 @dataclass(frozen=True)
@@ -260,7 +255,6 @@ class AdaptedBasis:
     basis: H1Basis
     case_tag: str
     specials: tuple
-    active: str | None = None   # the non-alone interval in case 1-2
 
 
 def adapted_basis(surface: SuturedSurface, i1: str, i2: str) -> AdaptedBasis:
@@ -273,7 +267,6 @@ def adapted_basis(surface: SuturedSurface, i1: str, i2: str) -> AdaptedBasis:
 
     tree_arcs: dict[int, list] = {}
     specials: list = []
-    active = None
 
     if case == "1-1":
         pass
@@ -305,7 +298,7 @@ def adapted_basis(surface: SuturedSurface, i1: str, i2: str) -> AdaptedBasis:
     els += _ordered_elements(model, {c2: b2, c1: b1}, tree_arcs)
     basis = H1Basis(model, tuple(els))
     special_els = tuple(els[: len(specials)])
-    return AdaptedBasis(basis, case, special_els, active)
+    return AdaptedBasis(basis, case, special_els)
 
 
 # ---------------------------------------------------------------------------

@@ -359,10 +359,11 @@ def external_tensor(x: Bimodule, y: Bimodule) -> Bimodule:
 
 @dataclass
 class TensorResult:
-    """Free presentation of X (x)_B Y with projection and section."""
+    """Free presentation of X (x)_B Y: the quotient bimodule, a section of
+    the quotient map and the balancing relations, whose columns together
+    span the ambient pair space."""
 
     bimodule: Bimodule
-    projection: IntMat        # ambient pair space -> quotient
     section: IntMat           # quotient -> ambient representatives
     relations: IntMat         # columns spanning the balancing submodule
 
@@ -399,7 +400,9 @@ def middle_relations(x: Bimodule, y: Bimodule) -> IntMat:
 def tensor_middle(x: Bimodule, y: Bimodule) -> TensorResult:
     """X (x)_B Y as a free bimodule, via Smith normal form per graded block.
 
-    Raises TorsionDetected if any block has a nonunit invariant factor.
+    The projection onto the quotient induces the outer actions and is not
+    returned: ``[section | relations]`` determines it.  Raises
+    TorsionDetected if any block has a nonunit invariant factor.
     """
     rel = middle_relations(x, y)
     dim = x.dim * y.dim
@@ -459,7 +462,7 @@ def tensor_middle(x: Bimodule, y: Bimodule) -> TensorResult:
     rights = [induced(_on_second(a, x.dim)) for a in y.right_actions]
     bim = Bimodule(x.left, y.right, q_grades, lefts, rights,
                    label=f"({x.label})(x)_B({y.label})")
-    return TensorResult(bim, proj, sect, rel)
+    return TensorResult(bim, sect, rel)
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,7 @@ class TestSelfGlue:
             assert res.case_tag == case
             assert res.created_sminus_circles == created
             assert res.degree_shift == CASE_DEGREE_SHIFT[case]
-            assert res.parity_shift == (rank_h(s) - rank_h(res.glued_surface)) % 2
+            assert res.parity_shift == (rank_h(s) - rank_h(res.target_space.surface)) % 2
             assert res.checks[-1] == "unimodular"
             assert isinstance(explicit_quotient_iso(res, i1, i2), GradedIso)
 
@@ -377,7 +377,7 @@ class TestCorruptedInputs:
             rel = IntMat(t.relations.nrows, t.relations.ncols + 1,
                          dict(t.relations.cols))
             rel.set_col(t.relations.ncols, dict(t.section.col(0)))
-            return TensorResult(t.bimodule, t.projection, t.section, rel)
+            return TensorResult(t.bimodule, t.section, rel)
 
         fp, f = identity_cobordism(["b"]), identity_cobordism(["a"])
         compose_iso(fp, f, PRESET_TENSOR)

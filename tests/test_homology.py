@@ -219,13 +219,13 @@ class TestAdaptedBasis:
     def test_case_1_2_active_side(self):
         s = surf([Component(0, (mk("i1", "u"),)), Component(0, (mk("i2"),))])
         a = adapted_basis(s, "i1", "i2")
-        assert a.case_tag == "1-2" and a.active == "i1"
+        assert a.case_tag == "1-2"
         (e,) = a.specials
         assert e.data[1] == "i1"
         # swapped roles
         s2 = surf([Component(0, (mk("i1"),)), Component(0, (mk("i2", "u"),))])
         a2 = adapted_basis(s2, "i1", "i2")
-        assert a2.active == "i2" and a2.specials[0].data[1] == "i2"
+        assert a2.specials[0].data[1] == "i2"
 
 
 class TestCWOracle:

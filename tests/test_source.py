@@ -202,3 +202,12 @@ def test_survey_lists_every_verdict_site():
     assert len(set(found)) == len(found), "two sites share a key"
     assert sorted(survey.SITES) == sorted(found)
     assert set(survey.UNREACHABLE) <= set(survey.SITES)
+
+
+def test_survey_runs_every_test_file():
+    # the survey runs the whole suite, the slow acceptance file last
+    survey = load_survey()
+    files = sorted(str(path.relative_to(REPO)) for top in ("tests", "perfbench")
+                   for path in (REPO / top).rglob("test_*.py"))
+    assert sorted(survey.PATHS) == files
+    assert survey.PATHS[-1] == "tests/test_acceptance.py"

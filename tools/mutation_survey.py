@@ -4,21 +4,24 @@ A verdict site is a statement in ``src/opencob`` that refuses a result: a
 ``raise`` of ConventionMismatch, ActionRelationViolation, TorsionDetected or
 AlgebraMismatch, or a ``return IsoFailure(...)``.  For each site in
 ``SITES`` the survey copies the repository to a temporary directory,
-replaces that one statement by ``pass``, runs ``pytest -q -x tests
-perfbench`` on the copy, and reports the mutant as killed (the suite fails,
-with the first failing test) or survived (it passes).  A surviving
-reachable site is a check that no test makes fire.  The run deselects
-``LIST_TEST``, which checks ``SITES`` against the source and so fails on
-every mutant.
+replaces that one statement by ``pass``, runs ``pytest -q -x`` on the
+copy's test files in the order of ``PATHS``, and reports the mutant as
+killed (the suite fails, with the first failing test) or survived (it
+passes).  ``PATHS`` names every test file under ``tests/`` and
+``perfbench/``, the unit tests first and ``tests/test_acceptance.py``,
+which composes 200 seeded pairs, last, so that ``-x`` stops a killed
+mutant before it.  A surviving reachable site is a check that no test
+makes fire.  The run deselects ``LIST_TEST``, which checks ``SITES``
+against the source and so fails on every mutant.
 
     python3 tools/mutation_survey.py
 
 Standard library only.  It runs the test suite once per site, two mutants
 at a time, so it is run by hand and is not part of the test suite;
-``tests/test_source.py`` checks that ``SITES`` lists every verdict site.
-The suite runs once unmutated first, and must pass.  The exit status is 1
-if a site outside ``UNREACHABLE`` survives, 2 if the unmutated suite
-fails.
+``tests/test_source.py`` checks that ``SITES`` lists every verdict site
+and ``PATHS`` every test file.  The suite runs once unmutated first, and
+must pass.  The exit status is 1 if a site outside ``UNREACHABLE``
+survives, 2 if the unmutated suite fails.
 """
 
 from __future__ import annotations
@@ -39,6 +42,15 @@ RAISED = {"ConventionMismatch", "ActionRelationViolation", "TorsionDetected",
           "AlgebraMismatch"}
 RETURNED = {"IsoFailure"}
 LIST_TEST = "tests/test_source.py::test_survey_lists_every_verdict_site"
+# every test file, from the lowest layer up, the slowest file last
+PATHS = (
+    "tests/test_snf.py", "tests/test_grading.py", "tests/test_surface.py",
+    "tests/test_homology.py", "tests/test_statespace.py",
+    "tests/test_superalg.py", "tests/test_gluing.py", "tests/test_harness.py",
+    "tests/test_cli.py", "tests/test_golden.py", "tests/test_demos.py",
+    "tests/test_readme.py", "tests/test_source.py", "perfbench/test_checks.py",
+    "tests/test_acceptance.py",
+)
 
 # (file, enclosing function, message template): the template is the first
 # argument of the exception or IsoFailure, with "{}" for each replacement
@@ -191,7 +203,7 @@ def run_mutant(site) -> tuple:
                                                          encoding="utf-8")
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-             "--deselect", LIST_TEST, "tests", "perfbench"],
+             "--deselect", LIST_TEST, *PATHS],
             cwd=copy, env=dict(os.environ, PYTHONPATH=str(copy / "src")),
             capture_output=True, text=True)
     verdict = {0: "survived", 1: "killed"}.get(proc.returncode,
