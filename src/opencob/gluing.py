@@ -453,7 +453,9 @@ def compose_iso(fp: SuturedSurface, f: SuturedSurface, grading: Grading, *,
 
     The gluings are a fold that carries on only chi, the glued space, the
     case tag and the step's ``checks``: each step's result is gone before the
-    next gluing starts.  The tensor product is built last.
+    next gluing starts.  The tensor product is built last, and its balancing
+    relations and chi are dropped once checked, before the composed
+    surface's bimodule is built and the iso verified.
     """
     compose_preflight(fp, f)
     n = len(fp.incoming)
@@ -496,9 +498,11 @@ def compose_iso(fp: SuturedSurface, f: SuturedSurface, grading: Grading, *,
     tensor = tensor_middle(bimodule_of(space_p), bimodule_of(space_f))
     if not (chi @ tensor.relations).is_zero():
         raise ConventionMismatch("composition map does not kill the balancing relations")
+    # the relations and chi are done with before the final bimodule is built
+    matrix, source = chi @ tensor.section, tensor.bimodule
+    del chi, tensor
 
-    iso = _verified(chi @ tensor.section, tensor.bimodule, bimodule_of(final),
-                    "composition iso")
+    iso = _verified(matrix, source, bimodule_of(final), "composition iso")
     return ComposeIsoResult(iso, final, case_tags, step_checks)
 
 

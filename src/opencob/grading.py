@@ -8,6 +8,7 @@ arithmetic is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,6 +33,21 @@ class ShiftParams:
     def __post_init__(self):
         for name in ("a1", "a2", "a3", "a4"):
             object.__setattr__(self, name, _frac(getattr(self, name)))
+        # delta(F) * den is an integer combination of h, k3, k4, k5, k6 and
+        # k7 once den is twice the common denominator of a1..a4
+        a1, a2, a3, a4 = self.a1, self.a2, self.a3, self.a4
+        den = 2 * math.lcm(a1.denominator, a2.denominator, a3.denominator,
+                           a4.denominator)
+        n1, n2, n3, n4 = (a.numerator * (den // a.denominator)
+                          for a in (a1, a2, a3, a4))
+        object.__setattr__(self, "_delta_ints",
+                           (-n1, n3, n1 - den, n2, (n1 - den) // 2, n4, den))
+
+    def delta_of(self, k: CountVector) -> Fraction:
+        """The degree shift of a surface with count vector ``k``."""
+        ch, c3, c4, c5, c6, c7, den = self._delta_ints
+        return Fraction(ch * k.h + c3 * k.k3 + c4 * k.k4 + c5 * k.k5
+                        + c6 * k.k6 + c7 * k.k7, den)
 
 
 @dataclass(frozen=True)
@@ -46,24 +62,19 @@ class ParityParams:
             if getattr(self, name) not in (0, 1):
                 raise ValueError(f"{name} must be 0 or 1")
 
+    def pi_of(self, k: CountVector) -> int:
+        """The parity of a surface with count vector ``k``."""
+        return (k.h + self.n1 * k.k5 + self.n2 * k.k3
+                + self.n3 * k.k6 + self.n4 * k.k7) % 2
+
 
 def delta(params: ShiftParams, surface: SuturedSurface) -> Fraction:
-    return _delta(params, counts(surface))
-
-
-def _delta(params: ShiftParams, k: CountVector) -> Fraction:
-    return (-params.a1 * k.h
-            + (params.a1 - 1) * k.k4
-            + params.a2 * k.k5
-            + params.a3 * k.k3
-            + (params.a1 - 1) / 2 * k.k6
-            + params.a4 * k.k7)
+    """-a1 h + (a1 - 1) k4 + a2 k5 + a3 k3 + (a1 - 1)/2 k6 + a4 k7."""
+    return params.delta_of(counts(surface))
 
 
 def pi(params: ParityParams, surface: SuturedSurface) -> int:
-    k = counts(surface)
-    return (k.h + params.n1 * k.k5 + params.n2 * k.k3
-            + params.n3 * k.k6 + params.n4 * k.k7) % 2
+    return params.pi_of(counts(surface))
 
 
 HALF_SHIFT = ShiftParams(Fraction(1, 2), Fraction(1, 2), Fraction(0), Fraction(-1, 2))
@@ -80,14 +91,14 @@ def _half_parity_defined(k: CountVector) -> bool:
     return (k.k6 - 2 * (k.k8 + k.k9)) % 4 == 0
 
 
-def pi_half(surface: SuturedSurface) -> int:
-    k = counts(surface)
+def pi_half(k: CountVector) -> int:
+    """The parity of the half-integer shift on count vector ``k``."""
     if not _half_parity_defined(k):
         raise ParityUndefined(
             "half-integer parity undefined: requires #S+ intervals == "
             "2 * #(boundary circles meeting S-) mod 4 "
             f"(got {k.k6} vs 2*{k.k8 + k.k9})")
-    d = _delta(HALF_SHIFT, k)
+    d = HALF_SHIFT.delta_of(k)
     if d.denominator != 1:
         raise ValueError(f"half-integer grading {d} is not an integer")
     return d.numerator % 2
@@ -108,9 +119,13 @@ class Grading:
         return delta(self.shift, surface)
 
     def pi(self, surface: SuturedSurface) -> int:
+        return self.pi_of(counts(surface))
+
+    def pi_of(self, k: CountVector) -> int:
+        """The parity of a surface with count vector ``k``."""
         if self.parity is None:
-            return pi_half(surface)
-        return pi(self.parity, surface)
+            return pi_half(k)
+        return self.parity.pi_of(k)
 
     def defined_on(self, surface: SuturedSurface) -> bool:
         return self.parity is not None or half_parity_defined(surface)

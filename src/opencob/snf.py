@@ -11,7 +11,10 @@ unimodular matrices all come from it.  It eliminates on +-1 pivots taken
 from a worklist of columns ordered by length, records the pivot positions
 instead of swapping rows and columns, and falls back to Euclidean steps
 only when no unit entry is left (after Dumas, Saunders and Villard, JSC
-2001).  A matrix that needs no elimination does not reach it:
+2001).  The result counts the Euclidean steps and, with u or u^-1, lists
+the rows that no pivot retired: without a Euclidean step the unit vectors
+at those rows map onto a basis of the quotient by the columns, so
+``tensor_middle`` asks for u alone.  A matrix that needs no elimination does not reach ``smith``:
 ``is_unimodular`` accepts a square signed permutation (one +-1 per column,
 on distinct rows) by a single pass over its entries.  ``det_bareiss``
 (fraction-free determinant) and ``solve_int`` have no caller in the
@@ -206,16 +209,27 @@ class SmithForm:
     divisibility chain d1 | d2 | ... .  Transform factors are computed only
     when requested.  ``vinv`` is never computed; it stays None so that code
     reading all four transforms (``perfbench/spans.py``) keeps working.
+
+    ``euclid_steps`` counts the pivots that needed Euclidean steps.
+    ``free_rows`` lists, in increasing order, the rows that no pivot
+    retired: rows ``rank..`` of u and columns ``rank..`` of u^-1 belong to
+    them, in that order.  It is None unless u or u^-1 was requested.  When
+    ``euclid_steps`` is 0, every row operation subtracts a multiple of a
+    pivot's row, which changes only that pivot row's column of u^-1, so
+    column ``rank + k`` of u^-1 is the unit vector at ``free_rows[k]``.
     """
 
     vinv = None
 
-    def __init__(self, diag, rank, u=None, uinv=None, v=None):
+    def __init__(self, diag, rank, u=None, uinv=None, v=None,
+                 free_rows=None, euclid_steps=0):
         self.diag = diag
         self.rank = rank
         self.u = u
         self.uinv = uinv
         self.v = v
+        self.free_rows = free_rows
+        self.euclid_steps = euclid_steps
 
     @property
     def invariant_factors(self):
@@ -258,6 +272,7 @@ def smith(mat, want_u=False, want_uinv=False, want_v=False):
     ucols = {i: {i: 1} for i in range(nrows)} if want_uinv else None
     vcols = {j: {j: 1} for j in range(ncols)} if want_v else None
     pivots = []  # (row, column, value) in elimination order
+    euclid_steps = 0
 
     def row_op(i, p, f):
         # R_i -= f * R_p on the active matrix, u and u^-1
@@ -343,6 +358,7 @@ def smith(mat, want_u=False, want_uinv=False, want_v=False):
         if cols and not any(val == 1 or val == -1
                             for c in cols.values() for val in c.values()):
             euclid_pivot()
+            euclid_steps += 1
 
     # unit pivots first; signs into u; then the divisibility chain
     pivots.sort(key=lambda t: abs(t[2]))
@@ -372,10 +388,11 @@ def smith(mat, want_u=False, want_uinv=False, want_v=False):
                 vcols[qk], vcols[ql] = _mix(vcols[qk], vcols[ql], 1, 1, -y * b // g, x * a // g)
             diag[k], diag[l] = g, a // g * b
 
-    u = uinv = v = None
+    u = uinv = v = free_rows = None
     if urows is not None or ucols is not None:
         done = {p for p, _, _ in pivots}
-        order = [p for p, _, _ in pivots] + [i for i in range(nrows) if i not in done]
+        free_rows = [i for i in range(nrows) if i not in done]
+        order = [p for p, _, _ in pivots] + free_rows
         if urows is not None:
             u = IntMat(nrows, nrows)
             for k, r in enumerate(order):
@@ -387,7 +404,8 @@ def smith(mat, want_u=False, want_uinv=False, want_v=False):
         done = {q for _, q, _ in pivots}
         order = [q for _, q, _ in pivots] + [j for j in range(ncols) if j not in done]
         v = IntMat(ncols, ncols, {k: vcols[c] for k, c in enumerate(order)})
-    return SmithForm(diag, rank, u=u, uinv=uinv, v=v)
+    return SmithForm(diag, rank, u=u, uinv=uinv, v=v, free_rows=free_rows,
+                     euclid_steps=euclid_steps)
 
 
 def _is_signed_permutation(mat):

@@ -34,7 +34,7 @@ from .homology import H1Basis, IncompatibleBases, canonical_basis
 from .laurent import LaurentPoly
 from .snf import IntMat
 from .superalg import ActionRelationViolation, Bimodule, Grades, SuperAlgebra
-from .surface import NotAnInterval, SuturedSurface, rank_h
+from .surface import NotAnInterval, SuturedSurface, counts
 
 # Largest rank h whose 2^h-dimensional state space the verifier builds:
 # ``build`` refuses anything larger, and the composable pairs (h_p + h_f)
@@ -149,7 +149,8 @@ def build(surface: SuturedSurface, grading: Grading,
           basis: H1Basis | None = None) -> StateSpace:
     """Z(F) on ``basis`` (the canonical one by default); StateSpaceTooLarge
     when h exceeds ``MAX_STATE_H``."""
-    h = rank_h(surface) if basis is None else len(basis)
+    k = counts(surface)
+    h = k.h if basis is None else len(basis)
     if h > MAX_STATE_H:
         raise StateSpaceTooLarge(
             f"Z(F) has rank 2^{h}; h = {h} exceeds the cap of {MAX_STATE_H}")
@@ -158,8 +159,8 @@ def build(surface: SuturedSurface, grading: Grading,
     if basis.model.surface != surface:
         raise IncompatibleBases("basis belongs to a different surface")
     sk = skeleton(len(basis))
-    d0 = grading.delta(surface)
-    p0 = grading.pi(surface)
+    d0 = grading.shift.delta_of(k)
+    p0 = grading.pi_of(k)
     grades = Grades(d0, sk.words, sk.parities[p0 & 1])
     grades.blocks = sk.blocks[p0 & 1]      # fills the cached_property
     return StateSpace(surface, grading, basis, sk.monomials, sk.index, d0, p0,

@@ -372,75 +372,97 @@ def middle_relations(x: Bimodule, y: Bimodule) -> IntMat:
     """Columns (x a (x) y) - (x (x) a y) over middle generators and basis pairs."""
     if x.right.m != y.left.m:
         raise AlgebraMismatch("middle algebras differ")
-    dim = x.dim * y.dim
-
-    def pair(i, j):
-        return i * y.dim + j
-
+    dim_y = y.dim
     cols = {}
     n = 0
     for k in range(x.right.m):
         xa = x.right_actions[k]
-        ay = y.left_actions[k]
+        ay_cols = [y.left_actions[k].col(j) for j in range(dim_y)]
         for i in range(x.dim):
             xa_col = xa.col(i)
-            for j in range(y.dim):
-                col: dict[int, int] = {}
-                for r, v in xa_col.items():
-                    col[pair(r, j)] = col.get(pair(r, j), 0) + v
-                for s, v in ay.col(j).items():
-                    col[pair(i, s)] = col.get(pair(i, s), 0) - v
-                col = {a: b for a, b in col.items() if b}
+            base = i * dim_y
+            for j, ay_col in enumerate(ay_cols):
+                # pair (r, j) is r * dim_y + j; the x a entries are distinct
+                col = {r * dim_y + j: v for r, v in xa_col.items()}
+                for s, v in ay_col.items():
+                    key = base + s
+                    w = col.get(key, 0) - v
+                    if w:
+                        col[key] = w
+                    else:
+                        del col[key]
                 if col:
                     cols[n] = col
                     n += 1
-    return IntMat(dim, n, cols)
+    return IntMat(x.dim * dim_y, n, cols)
 
 
 def tensor_middle(x: Bimodule, y: Bimodule) -> TensorResult:
     """X (x)_B Y as a free bimodule, via Smith normal form per graded block.
 
-    The projection onto the quotient induces the outer actions and is not
-    returned: ``[section | relations]`` determines it.  Raises
-    TorsionDetected if any block has a nonunit invariant factor.
+    Each block's relations get one Smith normal form with u alone: the
+    projection onto the quotient is rows ``rank..`` of u.  When the block
+    took no Euclidean step, the section is the ambient basis vectors at the
+    block's ``free_rows`` (``SmithForm``).  A block that took a Euclidean
+    step gets its section from columns ``rank..`` of u^-1, by a second
+    Smith normal form that asks for it.  An outer generator induces
+    ``projection @ generator @ section``.
+
+    The projection is not returned: ``[section | relations]`` determines
+    it.  Raises TorsionDetected if any block has a nonunit invariant factor.
     """
     rel = middle_relations(x, y)
     dim = x.dim * y.dim
     ambient = x.grades.tensor(y.grades)
     blocks = ambient.blocks
-    rel_by_block: dict[tuple, list] = {key: [] for key in blocks}
+    keys = sorted(blocks)
+    # ambient index -> its block's position in keys, and its place in the block
+    block_of = [0] * dim
+    local = [0] * dim
+    for b, key in enumerate(keys):
+        for l, g in enumerate(blocks[key]):
+            block_of[g] = b
+            local[g] = l
+    rel_by_block: list[list] = [[] for _ in keys]
     for col in rel.cols.values():
-        some = next(iter(col))
-        rel_by_block[(ambient.words[some], ambient.parities[some])].append(col)
+        rel_by_block[block_of[next(iter(col))]].append(col)
 
     basis_meta = []
     proj_cols_tmp: dict[int, dict[int, int]] = {}
     sect_cols: dict[int, dict[int, int]] = {}
     n_quot = 0
-    for key in sorted(blocks):
+    for b, (key, rcols) in enumerate(zip(keys, rel_by_block)):
         idxs = blocks[key]
-        local = {g: l for l, g in enumerate(idxs)}
-        rcols = rel_by_block[key]
         sub = IntMat(len(idxs), len(rcols))
         for jc, col in enumerate(rcols):
-            sub.set_col(jc, {local[g]: v for g, v in col.items()})
-        sf = smith(sub, want_u=True, want_uinv=True)
+            local_col = sub.cols[jc] = {}
+            for g, v in col.items():
+                if block_of[g] != b:
+                    raise ValueError("a balancing relation leaves its graded block")
+                local_col[local[g]] = v
+        sf = smith(sub, want_u=True)
         bad = [d for d in sf.invariant_factors if d != 1]
         if bad:
             raise TorsionDetected(
                 f"block (degree {ambient.offset + key[0]}, parity {key[1]}) "
                 f"has invariant factors {bad}")
         r = sf.rank
-        # projection rows r.. of U; section columns r.. of U^{-1}
+        # projection rows r.. of U
         for lc, col in sf.u.cols.items():
             g = idxs[lc]
             for f, v in col.items():
                 if f >= r:
                     proj_cols_tmp.setdefault(g, {})[n_quot + (f - r)] = v
-        for f in range(r, len(idxs)):
-            sect_cols[n_quot + (f - r)] = {idxs[i]: v
-                                           for i, v in sf.uinv.col(f).items()}
-            basis_meta.append(key)
+        if sf.euclid_steps == 0:
+            for k, i in enumerate(sf.free_rows):
+                sect_cols[n_quot + k] = {idxs[i]: 1}
+        else:
+            # section columns r.. of U^-1
+            uinv = smith(sub, want_uinv=True).uinv
+            for f in range(r, len(idxs)):
+                sect_cols[n_quot + (f - r)] = {idxs[i]: v
+                                               for i, v in uinv.col(f).items()}
+        basis_meta.extend([key] * (len(idxs) - r))
         n_quot += len(idxs) - r
 
     proj = IntMat(n_quot, dim, proj_cols_tmp)

@@ -476,6 +476,33 @@ class TestComposeIso:
         assert all(ref() is None for ref in results)
         assert res.step_checks == [gluing.GlueIsoResult.checks] * 3
 
+    def test_relations_die_before_the_final_bimodule(self, monkeypatch):
+        # the balancing relations are dropped once chi kills them, before
+        # the composed surface's bimodule is built and the iso verified
+        honest_tensor, honest_bimodule = gluing.tensor_middle, gluing.bimodule_of
+        relations, alive = [], []
+
+        class Tracked(IntMat):
+            pass                     # a subclass has a __weakref__ slot
+
+        def tracked_tensor(x, y):
+            t = honest_tensor(x, y)
+            rel = Tracked(t.relations.nrows, t.relations.ncols, t.relations.cols)
+            relations.append(weakref.ref(rel))
+            return TensorResult(t.bimodule, t.section, rel)
+
+        def tracked_bimodule(space):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in relations))
+            return honest_bimodule(space)
+
+        monkeypatch.setattr(gluing, "tensor_middle", tracked_tensor)
+        monkeypatch.setattr(gluing, "bimodule_of", tracked_bimodule)
+        res = compose_iso(open_pants(3), three_identities(), PRESET_TENSOR)
+        assert isinstance(res.iso, GradedIso)
+        # two factor bimodules before the tensor product, the final one after
+        assert len(relations) == 1 and alive == [0, 0, 0]
+
     def test_random_pairs_both_presets(self):
         rng = random.Random(42)
         for _ in range(8):

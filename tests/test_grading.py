@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from opencob.grading import (H_COEFFS, PRESET_HALF, PRESET_TENSOR,
-                             ConstraintCoeffs, Grading, ParityParams,
-                             ParityUndefined, ShiftParams,
+from opencob.grading import (H_COEFFS, HALF_SHIFT, PRESET_HALF, PRESET_TENSOR,
+                             TENSOR_SHIFT, ConstraintCoeffs, Grading,
+                             ParityParams, ParityUndefined, ShiftParams,
                              constraint_residuals, delta, delta_coeffs,
                              half_parity_defined, pi, pi_half,
                              solve_constraints)
@@ -53,6 +53,29 @@ class TestDelta:
             assert delta(params, u) == delta(params, f) + delta(params, g)
 
 
+    @staticmethod
+    def six_term_delta(params, k):
+        """The shift formula term by term in Fractions, as defined."""
+        return (-params.a1 * k.h
+                + (params.a1 - 1) * k.k4
+                + params.a2 * k.k5
+                + params.a3 * k.k3
+                + (params.a1 - 1) / 2 * k.k6
+                + params.a4 * k.k7)
+
+    def test_integer_coefficients_match_the_six_term_formula(self):
+        rng = random.Random(11)
+        vectors = [counts(random_surface(rng, Bounds(max_h=8))) for _ in range(40)]
+        vectors += [counts(surface_fgp(2, 3)), counts(open_pants(4)),
+                    counts(closed(3)), counts(DISK_PLUS_MINUS)]
+        params = [HALF_SHIFT, TENSOR_SHIFT] + [random_shift(rng) for _ in range(200)]
+        for shift in params:
+            for k in vectors:
+                got = shift.delta_of(k)
+                assert isinstance(got, Fraction)
+                assert got == self.six_term_delta(shift, k), (shift, k)
+
+
 class TestPi:
     def test_zero_params_is_h(self):
         for surf in (surface_fgp(2, 1), open_pants(2)):
@@ -89,12 +112,12 @@ class TestHalf:
     def test_f12(self):
         surf = surface_fgp(1, 2)
         assert PRESET_HALF.delta(surf) == -2
-        assert pi_half(surf) == 0
+        assert pi_half(counts(surf)) == 0
 
     def test_disk_plus_minus_undefined(self):
         assert not half_parity_defined(DISK_PLUS_MINUS)
         with pytest.raises(ParityUndefined):
-            pi_half(DISK_PLUS_MINUS)
+            pi_half(counts(DISK_PLUS_MINUS))
 
     def test_defined_iff_integral(self):
         rng = random.Random(3)
@@ -110,14 +133,14 @@ class TestHalf:
             surf = random_surface(rng, Bounds(max_h=6))
             if half_parity_defined(surf):
                 found += 1
-                assert pi_half(surf) == PRESET_HALF.delta(surf) % 2
+                assert pi_half(counts(surf)) == PRESET_HALF.delta(surf) % 2
         assert found > 5
 
     def test_preset_coherence(self):
         surf = surface_fgp(0, 2)
         half_shift = ShiftParams(F(1, 2), F(1, 2), F(0), F(-1, 2))
         assert PRESET_HALF.delta(surf) == delta(half_shift, surf)
-        assert PRESET_HALF.pi(surf) == pi_half(surf)
+        assert PRESET_HALF.pi(surf) == pi_half(counts(surf))
 
 
 class TestConstraints:

@@ -1,3 +1,4 @@
+import heapq
 import random
 from itertools import combinations
 from math import gcd
@@ -206,6 +207,91 @@ def sparse_relation_matrix(rng, nrows, ncols, torsion):
     return IntMat(nrows + torsion, ncols + torsion, cols)
 
 
+def reference_pivots(mat):
+    """The pivots of ``smith``'s policy, restated on its own: the shortest
+    column with a +-1 entry is eliminated on that entry in its shortest
+    row; once no unit is left, a Euclidean step starts from the smallest
+    entry.  Returns (row, euclidean) per pivot, in elimination order."""
+    cols = {j: dict(c) for j, c in mat.cols.items() if c}
+    rows = {}
+    for j, c in cols.items():
+        for i, val in c.items():
+            rows.setdefault(i, {})[j] = val
+    out = []
+
+    def row_op(i, p, f):
+        for j, a in rows[p].items():
+            w = rows[i].get(j, 0) - f * a
+            if w:
+                rows[i][j] = cols[j][i] = w
+            else:
+                del rows[i][j], cols[j][i]
+        if not rows[i]:
+            del rows[i]
+
+    def retire(p, euclidean):
+        for j in rows.pop(p):
+            del cols[j][p]
+            if not cols[j]:
+                del cols[j]
+        out.append((p, euclidean))
+
+    def is_unit(val):
+        return val in (1, -1)
+
+    while cols:
+        heap = [(len(c), j) for j, c in cols.items()]
+        heapq.heapify(heap)
+        while heap:
+            n, q = heapq.heappop(heap)
+            if q not in cols:
+                continue
+            if len(cols[q]) > n:
+                heapq.heappush(heap, (len(cols[q]), q))
+                continue
+            units = [i for i, val in cols[q].items() if is_unit(val)]
+            if units:
+                p = min(units, key=lambda i: len(rows[i]))
+                for i, b in [(i, b) for i, b in cols[q].items() if i != p]:
+                    row_op(i, p, b * rows[p][q])
+                retire(p, False)
+        if cols and not any(is_unit(v) for c in cols.values() for v in c.values()):
+            _, p, q = min((abs(v), i, j) for j, c in cols.items() for i, v in c.items())
+            while True:
+                piv = rows[p][q]
+                for i, b in [(i, b) for i, b in cols[q].items() if i != p]:
+                    if b // piv:
+                        row_op(i, p, b // piv)
+                left = [i for i in cols[q] if i != p]
+                if left:
+                    p = min(left, key=lambda i: abs(cols[q][i]))
+                    continue
+                bad = [(j, a) for j, a in rows[p].items() if a % piv]
+                if not bad:
+                    break
+                for j, a in bad:
+                    rows[p][j] = cols[j][p] = a % piv
+                q = min((j for j, _ in bad), key=lambda j: abs(rows[p][j]))
+            retire(p, True)
+    return out
+
+
+def check_pivot_record(mat, sf):
+    """``free_rows`` are exactly the rows that no pivot retired and
+    ``euclid_steps`` counts the Euclidean pivots; without one, columns
+    ``rank..`` of u^-1 are the unit vectors at the free rows."""
+    pivots = reference_pivots(mat)
+    retired = {p for p, _ in pivots}
+    assert sf.free_rows == [i for i in range(mat.nrows) if i not in retired]
+    assert sf.euclid_steps == sum(euclidean for _, euclidean in pivots)
+    assert sf.rank == len(pivots)
+    if sf.euclid_steps == 0:
+        assert sf.diag == [1] * sf.rank
+        if sf.uinv is not None:
+            assert [sf.uinv.col(sf.rank + k) for k in range(len(sf.free_rows))] \
+                == [{i: 1} for i in sf.free_rows]
+
+
 def check_diag_form(mat, sf):
     n, m = mat.nrows, mat.ncols
     assert sf.u @ sf.uinv == IntMat.identity(n)
@@ -225,6 +311,8 @@ class TestSmithOracle:
         for _ in range(150):
             rows = random_oracle_matrix(rng)
             sf = smith(from_rows(rows))
+            assert sf.free_rows is None
+            check_pivot_record(from_rows(rows), smith(from_rows(rows), want_u=True))
             divisors = determinantal_divisors(rows)
             prod = 1
             for k, dk in enumerate(divisors):
@@ -241,6 +329,7 @@ class TestSmithOracle:
             mat = from_rows(rows)
             full = smith(mat, want_u=True, want_uinv=True, want_v=True)
             check_diag_form(mat, full)
+            check_pivot_record(mat, full)
             assert full.diag == smith(mat).diag
 
     def test_sparse_relation_matrices(self):
@@ -251,6 +340,10 @@ class TestSmithOracle:
                 mat = sparse_relation_matrix(rng, nrows, ncols, torsion)
                 sf = smith(mat, want_u=True, want_uinv=True, want_v=True)
                 check_diag_form(mat, sf)
+                # without torsion rows every pivot is a unit, so columns
+                # rank.. of u^-1 are the unit vectors at the free rows
+                check_pivot_record(mat, sf)
+                assert (sf.euclid_steps > 0) == bool(torsion)
                 assert sf.diag == smith(mat).diag
                 if torsion:
                     assert not sf.is_free_quotient()

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from opencob import superalg
 from opencob.snf import IntMat, smith
 from opencob.superalg import (ActionRelationViolation, AlgebraMismatch,
                               Bimodule, GradedIso, Grades, IsoFailure,
@@ -283,6 +284,42 @@ class TestTensorMiddle:
         for x, y, z in triples:
             iso = associativity_witness(x, y, z)
             assert isinstance(iso, GradedIso), iso
+
+    def test_relations_without_units_take_the_euclidean_section(self, monkeypatch):
+        # x0 . E = 2 x1 and E . y0 = 3 y1: the block of x1 (x) y0 and
+        # x0 (x) y1 has the one relation (2, -3), no unit entry but
+        # invariant factor 1, so its section comes from u^-1
+        grades = Grades(Fraction(0), [0, -1], [0, 1])
+        x = Bimodule(SuperAlgebra(0), SuperAlgebra(1), grades, [],
+                     [IntMat(2, 2, {0: {1: 2}})])
+        y = Bimodule(SuperAlgebra(1), SuperAlgebra(0), grades,
+                     [IntMat(2, 2, {0: {1: 3}})], [])
+        calls = []
+
+        def recorded(mat, **kwargs):
+            sf = smith(mat, **kwargs)
+            calls.append((kwargs, sf.euclid_steps))
+            return sf
+
+        monkeypatch.setattr(superalg, "smith", recorded)
+        t = tensor_middle(x, y)
+        assert ({"want_uinv": True}, 1) in calls
+        assert t.bimodule.dim == 2
+        assert sorted(zip(t.bimodule.degrees, t.bimodule.parities)) == [(-1, 1), (0, 0)]
+        proj = projection_of(t)
+        assert proj @ t.section == IntMat.identity(2)
+        assert (proj @ t.relations).is_zero()
+        # the section vector of the (-1, 1) block is not an ambient basis vector
+        assert any(len(col) > 1 for col in t.section.cols.values())
+
+    def test_relation_leaving_its_block_is_refused(self):
+        # an inhomogeneous right action puts one relation in two blocks
+        grades = Grades(Fraction(0), [0, -1], [0, 1])
+        x = Bimodule(SuperAlgebra(0), SuperAlgebra(1), grades, [],
+                     [IntMat(2, 2, {0: {0: 1, 1: 1}})], check=False)
+        y = regular_bimodule(SuperAlgebra(1))
+        with pytest.raises(ValueError, match="leaves its graded block"):
+            tensor_middle(x, y)
 
     def test_torsion_detected(self):
         # doubled actions on both sides of the balancing relation leave a Z/2
