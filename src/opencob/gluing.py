@@ -213,11 +213,9 @@ def _persisted_images(adapted: AdaptedBasis, glue, model_bar):
             else:
                 images.append(boundary_element(model_bar,
                                                *glue.circle_map[(ci, bi)]))
-        elif el.kind == "arc":
+        else:
             tail, head = el.data
             images.append(arc_element(model_bar, tail, head))
-        else:
-            raise ConventionMismatch(f"cannot transport element {el.label}")
     return images
 
 
@@ -402,12 +400,10 @@ def _transport_basis(basis: H1Basis, model_bar, comp_offset: int, id_map):
         elif el.kind == "boundary":
             ci, bi = el.data
             out.append(boundary_element(model_bar, ci + comp_offset, bi))
-        elif el.kind == "arc":
+        else:
             tail, head = el.data
             out.append(arc_element(model_bar, id_map.get(tail, tail),
                                    id_map.get(head, head)))
-        else:
-            raise ValueError(f"cannot transport element {el.label}")
     return out
 
 
@@ -620,23 +616,21 @@ def symmetrizer_iso(labels1, labels2, grading: Grading) -> GradedIso:
                      bimodule_of(space), target, "symmetrizer witness")
 
 
-def _monomial_actions(bim: Bimodule, side: str, masks) -> dict:
-    """mask -> the matrix of that monomial of the ``side`` ("left" or
-    "right") algebra acting on ``bim``, for every mask in ``masks`` and
-    the masks their recurrence passes through, and always mask 0.
+def _monomial_actions(bim: Bimodule, masks) -> dict:
+    """mask -> the matrix of that monomial of the left algebra acting on
+    ``bim``, for every mask in ``masks`` and the masks their recurrence
+    passes through, and always mask 0.
 
-    E_{i1}...E_{ik} with i1 < ... < ik acts as L[i1] @ ... @ L[ik] from the
-    left and as R[ik] @ ... @ R[i1] from the right.  Each mask costs one
-    product with a generator and a smaller mask's action: the left side
-    splits off its lowest slot, the right side its highest.
+    E_{i1}...E_{ik} with i1 < ... < ik acts as L[i1] @ ... @ L[ik].  Each
+    mask costs one product with a generator and a smaller mask's action,
+    split off at its lowest slot.
     """
-    left = side == "left"
-    gens = bim.left_actions if left else bim.right_actions
+    gens = bim.left_actions
     acts = {0: IntMat.identity(bim.dim)}
 
     def act(mask):
         if mask not in acts:
-            i = (mask & -mask).bit_length() - 1 if left else mask.bit_length() - 1
+            i = (mask & -mask).bit_length() - 1
             acts[mask] = gens[i] @ act(mask ^ (1 << i))
         return acts[mask]
 
@@ -645,24 +639,16 @@ def _monomial_actions(bim: Bimodule, side: str, masks) -> dict:
     return acts
 
 
-def _evaluate(bim: Bimodule, side: str, section: IntMat, pair) -> IntMat:
-    """``ev @ section``, where column r of the evaluation map ev is the
-    monomial ``mask`` of the ``side`` algebra applied to basis element e of
-    ``bim``, with ``(mask, e) == pair(r)``.  Only the columns of ev that the
-    section reads are formed, so only their masks' actions are built."""
-    read = {r: pair(r) for col in section.cols.values() for r in col}
-    acts = _monomial_actions(bim, side, {mask for mask, _ in read.values()})
+def _evaluate(bim: Bimodule, section: IntMat) -> IntMat:
+    """``ev @ section``, where column ``mask * bim.dim + e`` of the
+    evaluation map ev is the left monomial ``mask`` applied to basis element
+    e of ``bim``.  Only the columns of ev that the section reads are formed,
+    so only their masks' actions are built."""
+    read = {r: divmod(r, bim.dim) for col in section.cols.values() for r in col}
+    acts = _monomial_actions(bim, {mask for mask, _ in read.values()})
     ev = IntMat(bim.dim, section.nrows,
                 {r: acts[mask].col(e) for r, (mask, e) in read.items()})
     return ev @ section
-
-
-def _int_inverse(mat: IntMat) -> IntMat:
-    """Inverse of a unimodular matrix: u @ mat @ v == I gives v @ u."""
-    sf = smith(mat, want_u=True, want_v=True)
-    if mat.nrows != mat.ncols or sf.rank != mat.nrows or not sf.is_free_quotient():
-        raise ConventionMismatch("unitor evaluation is not unimodular")
-    return sf.v @ sf.u
 
 
 @functools.cache
@@ -676,8 +662,10 @@ def naturality_square(f_space: StateSpace, g_space: StateSpace) -> GradedIso:
     """The monoidal naturality square for a disjoint pair of cobordisms.
 
     Compares mu (x)_{A(M2) (x) A(M2')} (Z(F) (x) Z(F')) with
-    Z(F u F') (x)_{A(M1 u M1')} mu via the union witness and the unitor
-    evaluations, and verifies the composite.  The external tensor
+    Z(F u F') (x)_{A(M1 u M1')} mu via the union witness and the two
+    unitors, and verifies the composite.  The left unitor evaluates
+    b (x) v -> b . v; the right one is inverted as v -> [v (x) 1], the
+    columns of Y's projection at the pairs (v, 1).  The external tensor
     Z(F) (x) Z(F') and Z(F u F') are the source and target of the union
     witness, so each is built and validated once.
     """
@@ -690,10 +678,9 @@ def naturality_square(f_space: StateSpace, g_space: StateSpace) -> GradedIso:
 
     # evaluate b (x) v -> b . v on X's representatives, the pair (b, v)
     # in row b * ext.dim + v
-    x_to_ext = _evaluate(ext, "left", x.section, lambda r: divmod(r, ext.dim))
-    # evaluate v (x) a -> v . a on Y's representatives, the pair (v, a) in
-    # row v * mu_in.dim + a
-    y_to_u = _evaluate(bim_u, "right", y.section,
-                       lambda r: divmod(r, mu_in.dim)[::-1])
-    w = _int_inverse(y_to_u) @ union_witness.matrix @ x_to_ext
+    x_to_ext = _evaluate(ext, x.section)
+    # v -> [v (x) 1], the pair (v, 1) in column v * mu_in.dim
+    u_to_y = y.projection.submatrix(range(y.projection.nrows),
+                                    [v * mu_in.dim for v in range(bim_u.dim)])
+    w = u_to_y @ union_witness.matrix @ x_to_ext
     return _verified(w, x.bimodule, y.bimodule, "naturality square")

@@ -6,15 +6,15 @@ suits the engine's highly sparse action/relation matrices.
 
 ``smith`` is the one elimination kernel.  Ranks, invariant factors, the
 quotient bases of ``tensor_middle``, the unimodularity tests
-(``is_unimodular``), changes of basis (``solve_exact``) and inverses of
-unimodular matrices all come from it.  It eliminates on +-1 pivots taken
-from a worklist of columns ordered by length, records the pivot positions
-instead of swapping rows and columns, and falls back to Euclidean steps
-only when no unit entry is left (after Dumas, Saunders and Villard, JSC
-2001).  The result counts the Euclidean steps and, with u or u^-1, lists
-the rows that no pivot retired: without a Euclidean step the unit vectors
-at those rows map onto a basis of the quotient by the columns, so
-``tensor_middle`` asks for u alone.  A matrix that needs no elimination does not reach ``smith``:
+(``is_unimodular``) and every integral solve or inverse (``solve_exact``)
+come from it.  It eliminates on +-1 pivots taken from a worklist of
+columns ordered by length, records the pivot positions instead of
+swapping rows and columns, and falls back to Euclidean steps only when no
+unit entry is left (after Dumas, Saunders and Villard, JSC 2001).  The
+result counts the Euclidean steps and, with u, lists the rows that no
+pivot retired: without a Euclidean step the unit vectors at those rows map
+onto a basis of the quotient by the columns, so ``tensor_middle`` asks for
+u alone.  A matrix that needs no elimination does not reach ``smith``:
 ``is_unimodular`` accepts a square signed permutation (one +-1 per column,
 on distinct rows) by a single pass over its entries.  ``det_bareiss``
 (fraction-free determinant) and ``solve_int`` have no caller in the
@@ -206,27 +206,26 @@ class SmithForm:
     """Result of a Smith normal form computation.
 
     ``u @ mat @ v == d`` with u, v unimodular and d diagonal with the
-    divisibility chain d1 | d2 | ... .  Transform factors are computed only
-    when requested.  ``vinv`` is never computed; it stays None so that code
-    reading all four transforms (``perfbench/spans.py``) keeps working.
+    divisibility chain d1 | d2 | ... .  u and v are computed only when
+    requested.  Neither inverse is ever computed (``solve_exact`` inverts);
+    ``uinv`` and ``vinv`` stay None so that code reading all four
+    transforms (``perfbench/spans.py``) keeps working.
 
     ``euclid_steps`` counts the pivots that needed Euclidean steps.
     ``free_rows`` lists, in increasing order, the rows that no pivot
-    retired: rows ``rank..`` of u and columns ``rank..`` of u^-1 belong to
-    them, in that order.  It is None unless u or u^-1 was requested.  When
-    ``euclid_steps`` is 0, every row operation subtracts a multiple of a
-    pivot's row, which changes only that pivot row's column of u^-1, so
-    column ``rank + k`` of u^-1 is the unit vector at ``free_rows[k]``.
+    retired: rows ``rank..`` of u belong to them, in that order.  It is
+    None unless u was requested.  When ``euclid_steps`` is 0, every row
+    operation subtracts a multiple of a pivot's row, so row ``rank + k`` of
+    u is the unit vector at ``free_rows[k]`` plus entries at retired rows.
     """
 
-    vinv = None
+    uinv = vinv = None
 
-    def __init__(self, diag, rank, u=None, uinv=None, v=None,
-                 free_rows=None, euclid_steps=0):
+    def __init__(self, diag, rank, u=None, v=None, free_rows=None,
+                 euclid_steps=0):
         self.diag = diag
         self.rank = rank
         self.u = u
-        self.uinv = uinv
         self.v = v
         self.free_rows = free_rows
         self.euclid_steps = euclid_steps
@@ -240,7 +239,7 @@ class SmithForm:
         return all(d == 1 for d in self.invariant_factors)
 
 
-def smith(mat, want_u=False, want_uinv=False, want_v=False):
+def smith(mat, want_u=False, want_v=False):
     """Smith normal form of a sparse IntMat.
 
     Pivot policy: columns wait in a heap keyed by their current length; the
@@ -250,7 +249,7 @@ def smith(mat, want_u=False, want_uinv=False, want_v=False):
 
     Nothing is swapped: each pivot retires its row and column from the
     active matrix, and the (row, column) pairs are applied as permutations
-    only when u, u^-1 and v are assembled at the end, unit pivots first.
+    only when u and v are assembled at the end, unit pivots first.
 
     Row operations always run.  Column operations run on the active matrix
     only in Euclidean steps where a pivot row has an entry its pivot does
@@ -269,13 +268,12 @@ def smith(mat, want_u=False, want_uinv=False, want_v=False):
             for i, val in c.items():
                 rows.setdefault(i, {})[j] = val
     urows = {i: {i: 1} for i in range(nrows)} if want_u else None  # rows of u
-    ucols = {i: {i: 1} for i in range(nrows)} if want_uinv else None
     vcols = {j: {j: 1} for j in range(ncols)} if want_v else None
     pivots = []  # (row, column, value) in elimination order
     euclid_steps = 0
 
     def row_op(i, p, f):
-        # R_i -= f * R_p on the active matrix, u and u^-1
+        # R_i -= f * R_p on the active matrix and u
         ri = rows[i]
         for j, a in rows[p].items():
             w = ri.get(j, 0) - f * a
@@ -290,8 +288,6 @@ def smith(mat, want_u=False, want_uinv=False, want_v=False):
             del rows[i]
         if urows is not None:
             _axpy(urows[i], urows[p], -f)
-        if ucols is not None:
-            _axpy(ucols[p], ucols[i], f)
 
     def retire(p, q, piv):
         # column q is zero outside row p; what is left of row p is a multiple
@@ -364,11 +360,8 @@ def smith(mat, want_u=False, want_uinv=False, want_v=False):
     pivots.sort(key=lambda t: abs(t[2]))
     diag = []
     for p, _, piv in pivots:
-        if piv < 0:
-            if urows is not None:
-                urows[p] = {k: -val for k, val in urows[p].items()}
-            if ucols is not None:
-                ucols[p] = {k: -val for k, val in ucols[p].items()}
+        if piv < 0 and urows is not None:
+            urows[p] = {k: -val for k, val in urows[p].items()}
         diag.append(abs(piv))
     rank = len(diag)
     first = next((k for k, d in enumerate(diag) if d != 1), rank)
@@ -382,29 +375,23 @@ def smith(mat, want_u=False, want_uinv=False, want_v=False):
             (pk, qk, _), (pl, ql, _) = pivots[k], pivots[l]
             if urows is not None:
                 urows[pk], urows[pl] = _mix(urows[pk], urows[pl], x, y, -b // g, a // g)
-            if ucols is not None:
-                ucols[pk], ucols[pl] = _mix(ucols[pk], ucols[pl], a // g, b // g, -y, x)
             if vcols is not None:
                 vcols[qk], vcols[ql] = _mix(vcols[qk], vcols[ql], 1, 1, -y * b // g, x * a // g)
             diag[k], diag[l] = g, a // g * b
 
-    u = uinv = v = free_rows = None
-    if urows is not None or ucols is not None:
+    u = v = free_rows = None
+    if urows is not None:
         done = {p for p, _, _ in pivots}
         free_rows = [i for i in range(nrows) if i not in done]
-        order = [p for p, _, _ in pivots] + free_rows
-        if urows is not None:
-            u = IntMat(nrows, nrows)
-            for k, r in enumerate(order):
-                for c, val in urows[r].items():
-                    u.cols.setdefault(c, {})[k] = val
-        if ucols is not None:
-            uinv = IntMat(nrows, nrows, {k: ucols[r] for k, r in enumerate(order)})
+        u = IntMat(nrows, nrows)
+        for k, r in enumerate([p for p, _, _ in pivots] + free_rows):
+            for c, val in urows[r].items():
+                u.cols.setdefault(c, {})[k] = val
     if vcols is not None:
         done = {q for _, q, _ in pivots}
         order = [q for _, q, _ in pivots] + [j for j in range(ncols) if j not in done]
         v = IntMat(ncols, ncols, {k: vcols[c] for k, c in enumerate(order)})
-    return SmithForm(diag, rank, u=u, uinv=uinv, v=v, free_rows=free_rows,
+    return SmithForm(diag, rank, u=u, v=v, free_rows=free_rows,
                      euclid_steps=euclid_steps)
 
 

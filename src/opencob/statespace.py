@@ -33,7 +33,7 @@ from .grading import Grading
 from .homology import H1Basis, IncompatibleBases, canonical_basis
 from .laurent import LaurentPoly
 from .snf import IntMat
-from .superalg import ActionRelationViolation, Bimodule, Grades, SuperAlgebra
+from .superalg import Bimodule, Grades, SuperAlgebra
 from .surface import NotAnInterval, SuturedSurface, counts
 
 # Largest rank h whose 2^h-dimensional state space the verifier builds:
@@ -225,12 +225,9 @@ def bimodule_of(space: StateSpace) -> Bimodule:
     right_ids = [s for s in surface.incoming if s in intervals]
     lefts = [action_matrix(space, s) for s in left_ids]
     rights = [action_matrix(space, s) for s in right_ids]
-    try:
-        return Bimodule(SuperAlgebra(len(lefts)), SuperAlgebra(len(rights)),
-                        space.grades, lefts, rights,
-                        label=f"Z({len(surface.components)} comps, h={space.h})")
-    except ActionRelationViolation as exc:  # pragma: no cover - must never fire
-        raise ActionRelationViolation(f"state-space action relations: {exc}")
+    return Bimodule(SuperAlgebra(len(lefts)), SuperAlgebra(len(rights)),
+                    space.grades, lefts, rights,
+                    label=f"Z({len(surface.components)} comps, h={space.h})")
 
 
 def graded_superdim(space: StateSpace) -> LaurentPoly:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .laurent import LaurentPoly
-from .snf import IntMat, is_unimodular, smith
+from .snf import IntMat, is_unimodular, smith, solve_exact
 
 
 class AlgebraMismatch(ValueError):
@@ -359,11 +359,12 @@ def external_tensor(x: Bimodule, y: Bimodule) -> Bimodule:
 
 @dataclass
 class TensorResult:
-    """Free presentation of X (x)_B Y: the quotient bimodule, a section of
-    the quotient map and the balancing relations, whose columns together
-    span the ambient pair space."""
+    """Free presentation of X (x)_B Y: the quotient bimodule, the quotient
+    map and a section of it, and the balancing relations, whose columns
+    together with the section's span the ambient pair space."""
 
     bimodule: Bimodule
+    projection: IntMat        # ambient pair space -> quotient
     section: IntMat           # quotient -> ambient representatives
     relations: IntMat         # columns spanning the balancing submodule
 
@@ -404,12 +405,10 @@ def tensor_middle(x: Bimodule, y: Bimodule) -> TensorResult:
     projection onto the quotient is rows ``rank..`` of u.  When the block
     took no Euclidean step, the section is the ambient basis vectors at the
     block's ``free_rows`` (``SmithForm``).  A block that took a Euclidean
-    step gets its section from columns ``rank..`` of u^-1, by a second
-    Smith normal form that asks for it.  An outer generator induces
-    ``projection @ generator @ section``.
-
-    The projection is not returned: ``[section | relations]`` determines
-    it.  Raises TorsionDetected if any block has a nonunit invariant factor.
+    step gets its section from columns ``rank..`` of u^-1, solved for with
+    ``solve_exact`` from the u it has.  An outer generator induces
+    ``projection @ generator @ section``.  Raises TorsionDetected if any
+    block has a nonunit invariant factor.
     """
     rel = middle_relations(x, y)
     dim = x.dim * y.dim
@@ -458,10 +457,9 @@ def tensor_middle(x: Bimodule, y: Bimodule) -> TensorResult:
                 sect_cols[n_quot + k] = {idxs[i]: 1}
         else:
             # section columns r.. of U^-1
-            uinv = smith(sub, want_uinv=True).uinv
-            for f in range(r, len(idxs)):
-                sect_cols[n_quot + (f - r)] = {idxs[i]: v
-                                               for i, v in uinv.col(f).items()}
+            uinv_cols = solve_exact(sf.u, [{f: 1} for f in range(r, len(idxs))])
+            for k, col in enumerate(uinv_cols):
+                sect_cols[n_quot + k] = {idxs[i]: v for i, v in col.items()}
         basis_meta.extend([key] * (len(idxs) - r))
         n_quot += len(idxs) - r
 
@@ -484,7 +482,7 @@ def tensor_middle(x: Bimodule, y: Bimodule) -> TensorResult:
     rights = [induced(_on_second(a, x.dim)) for a in y.right_actions]
     bim = Bimodule(x.left, y.right, q_grades, lefts, rights,
                    label=f"({x.label})(x)_B({y.label})")
-    return TensorResult(bim, sect, rel)
+    return TensorResult(bim, proj, sect, rel)
 
 
 # ---------------------------------------------------------------------------

@@ -377,7 +377,7 @@ class TestCorruptedInputs:
             rel = IntMat(t.relations.nrows, t.relations.ncols + 1,
                          dict(t.relations.cols))
             rel.set_col(t.relations.ncols, dict(t.section.col(0)))
-            return TensorResult(t.bimodule, t.section, rel)
+            return TensorResult(t.bimodule, t.projection, t.section, rel)
 
         fp, f = identity_cobordism(["b"]), identity_cobordism(["a"])
         compose_iso(fp, f, PRESET_TENSOR)
@@ -489,7 +489,7 @@ class TestComposeIso:
             t = honest_tensor(x, y)
             rel = Tracked(t.relations.nrows, t.relations.ncols, t.relations.cols)
             relations.append(weakref.ref(rel))
-            return TensorResult(t.bimodule, t.section, rel)
+            return TensorResult(t.bimodule, t.projection, t.section, rel)
 
         def tracked_bimodule(space):
             gc.collect()
@@ -690,33 +690,28 @@ def functor_pairs():
                                                 bimodule_of(g_space))
 
 
-def explicit_monomial_action(bim, side, mask):
+def explicit_monomial_action(bim, mask):
     """E_{i1}...E_{ik} (i1 < ... < ik) acts as L[i1] @ ... @ L[ik] from the
-    left and as R[ik] @ ... @ R[i1] from the right."""
-    one = IntMat.identity(bim.dim)
-    if side == "left":
-        return reduce(lambda a, i: a @ bim.left_actions[i], bits(mask), one)
-    return reduce(lambda a, i: bim.right_actions[i] @ a, bits(mask), one)
+    left."""
+    return reduce(lambda a, i: a @ bim.left_actions[i], bits(mask),
+                  IntMat.identity(bim.dim))
 
 
 class TestMonomialActions:
     def test_equal_the_explicit_products(self):
-        # two generators on each side whose products do not vanish, so that
-        # an order or a sign error shows
-        ext = next(e for _, _, e in functor_pairs()
-                   if e.left.m >= 2 and e.right.m >= 2 and all(
-                       not explicit_monomial_action(e, side, 3).is_zero()
-                       for side in ("left", "right")))
-        for side, m in (("left", ext.left.m), ("right", ext.right.m)):
-            acts = _monomial_actions(ext, side, range(1 << m))
-            assert len(acts) == 1 << m
-            for mask, act in acts.items():
-                assert act == explicit_monomial_action(ext, side, mask)
+        # two left generators whose product does not vanish, so that an
+        # order or a sign error shows
+        ext = next(e for _, _, e in functor_pairs() if e.left.m >= 2
+                   and not explicit_monomial_action(e, 3).is_zero())
+        acts = _monomial_actions(ext, range(1 << ext.left.m))
+        assert len(acts) == 1 << ext.left.m
+        for mask, act in acts.items():
+            assert act == explicit_monomial_action(ext, mask)
 
     def test_no_generators_gives_the_identity(self):
         ext = next(e for _, _, e in functor_pairs()
                    if e.left.m == 0 and e.dim > 1)
-        assert _monomial_actions(ext, "left", range(1)) == {0: IntMat.identity(ext.dim)}
+        assert _monomial_actions(ext, range(1)) == {0: IntMat.identity(ext.dim)}
 
     def test_a_flipped_sign_fails_the_naturality_square(self, monkeypatch):
         f_space, g_space, _ = next(p for p in functor_pairs()
@@ -724,15 +719,35 @@ class TestMonomialActions:
         naturality_square(f_space, g_space)
         honest = gluing._monomial_actions
 
-        def flipped(bim, side, masks):
-            acts = honest(bim, side, masks)
-            if side == "right":
-                act = acts[1]
-                j = max(act.cols)
-                i = max(act.cols[j])
-                act.cols[j] = {**act.cols[j], i: -act.cols[j][i]}
+        def flipped(bim, masks):
+            acts = honest(bim, masks)
+            act = acts[max(acts)]
+            j = max(act.cols)
+            i = max(act.cols[j])
+            act.cols[j] = {**act.cols[j], i: -act.cols[j][i]}
             return acts
 
         monkeypatch.setattr(gluing, "_monomial_actions", flipped)
+        with pytest.raises(ConventionMismatch, match="naturality square failed"):
+            naturality_square(f_space, g_space)
+
+    def test_a_flipped_inverse_unitor_fails_the_naturality_square(self, monkeypatch):
+        # Y = Z(F u F') (x) A(M1 u M1'), whose projection's columns at the
+        # pairs (v, 1) invert the right unitor
+        f_space, g_space, _ = next(p for p in functor_pairs()
+                                   if (p[2].left.m, p[2].right.m) == (1, 1))
+        naturality_square(f_space, g_space)
+        honest = gluing.tensor_middle
+
+        def flipped(x, y):
+            t = honest(x, y)
+            if y is gluing._regular(y.left.m):
+                # the pair (v, 1) of the last v is column v * dim(A)
+                col = t.projection.cols[(x.dim - 1) * y.dim]
+                i = max(col)
+                col[i] = -col[i]
+            return t
+
+        monkeypatch.setattr(gluing, "tensor_middle", flipped)
         with pytest.raises(ConventionMismatch, match="naturality square failed"):
             naturality_square(f_space, g_space)

@@ -6,7 +6,6 @@ from math import gcd
 import pytest
 
 from opencob import snf
-from opencob.gluing import ConventionMismatch, _int_inverse
 from opencob.snf import (IntMat, det_bareiss, is_unimodular, smith,
                          solve_exact, solve_int)
 
@@ -87,8 +86,8 @@ class TestSmith:
             n, m = rng.randint(1, 8), rng.randint(1, 8)
             mat = from_rows(
                 [[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)])
-            sf = smith(mat, want_u=True, want_uinv=True, want_v=True)
-            assert sf.u @ sf.uinv == IntMat.identity(n)
+            sf = smith(mat, want_u=True, want_v=True)
+            assert abs(det_bareiss(to_rows(sf.u))) == 1
             assert abs(det_bareiss(to_rows(sf.v))) == 1
             d = sf.u @ mat @ sf.v
             for j, col in d.cols.items():
@@ -278,8 +277,9 @@ def reference_pivots(mat):
 
 def check_pivot_record(mat, sf):
     """``free_rows`` are exactly the rows that no pivot retired and
-    ``euclid_steps`` counts the Euclidean pivots; without one, columns
-    ``rank..`` of u^-1 are the unit vectors at the free rows."""
+    ``euclid_steps`` counts the Euclidean pivots; without one, rows
+    ``rank..`` of u read on the free rows' columns are the identity, so
+    the unit vectors at the free rows are a section of those rows."""
     pivots = reference_pivots(mat)
     retired = {p for p, _ in pivots}
     assert sf.free_rows == [i for i in range(mat.nrows) if i not in retired]
@@ -287,14 +287,13 @@ def check_pivot_record(mat, sf):
     assert sf.rank == len(pivots)
     if sf.euclid_steps == 0:
         assert sf.diag == [1] * sf.rank
-        if sf.uinv is not None:
-            assert [sf.uinv.col(sf.rank + k) for k in range(len(sf.free_rows))] \
-                == [{i: 1} for i in sf.free_rows]
+        free = len(sf.free_rows)
+        assert sf.u.submatrix(range(sf.rank, sf.rank + free), sf.free_rows) \
+            == IntMat.identity(free)
 
 
 def check_diag_form(mat, sf):
-    n, m = mat.nrows, mat.ncols
-    assert sf.u @ sf.uinv == IntMat.identity(n)
+    assert abs(det_bareiss(to_rows(sf.u))) == 1
     d = sf.u @ mat @ sf.v
     for j, col in d.cols.items():
         for i, val in col.items():
@@ -327,7 +326,7 @@ class TestSmithOracle:
         for _ in range(60):
             rows = random_oracle_matrix(rng)
             mat = from_rows(rows)
-            full = smith(mat, want_u=True, want_uinv=True, want_v=True)
+            full = smith(mat, want_u=True, want_v=True)
             check_diag_form(mat, full)
             check_pivot_record(mat, full)
             assert full.diag == smith(mat).diag
@@ -338,10 +337,10 @@ class TestSmithOracle:
             for torsion in (0, 3):
                 nrows = rng.randint(ncols // 3, ncols)
                 mat = sparse_relation_matrix(rng, nrows, ncols, torsion)
-                sf = smith(mat, want_u=True, want_uinv=True, want_v=True)
+                sf = smith(mat, want_u=True, want_v=True)
                 check_diag_form(mat, sf)
-                # without torsion rows every pivot is a unit, so columns
-                # rank.. of u^-1 are the unit vectors at the free rows
+                # without torsion rows every pivot is a unit, so rows
+                # rank.. of u are the identity on the free rows' columns
                 check_pivot_record(mat, sf)
                 assert (sf.euclid_steps > 0) == bool(torsion)
                 assert sf.diag == smith(mat).diag
@@ -373,26 +372,10 @@ class TestSmithOracle:
     def test_left_kernel_without_v(self):
         rng = random.Random(11)
         mat = sparse_relation_matrix(rng, 70, 60, 0)
-        sf = smith(mat, want_u=True, want_uinv=True)
-        assert sf.u @ sf.uinv == IntMat.identity(mat.nrows)
+        sf = smith(mat, want_u=True)
+        assert abs(det_bareiss(to_rows(sf.u))) == 1
         prod = sf.u @ mat
         assert all(i < sf.rank for col in prod.cols.values() for i in col)
-
-
-class TestIntInverse:
-    def test_signed_permutation(self):
-        rng = random.Random(12)
-        n = 7
-        perm = list(range(n))
-        rng.shuffle(perm)
-        mat = IntMat(n, n, {j: {perm[j]: rng.choice((1, -1))} for j in range(n)})
-        inv = _int_inverse(mat)
-        assert inv @ mat == IntMat.identity(n)
-        assert mat @ inv == IntMat.identity(n)
-
-    def test_refuses_non_unimodular(self):
-        with pytest.raises(ConventionMismatch):
-            _int_inverse(from_rows([[2, 0], [0, 1]]))
 
 
 class TestSignedPermutationExit:

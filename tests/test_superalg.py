@@ -201,6 +201,8 @@ def associativity_witness(x: Bimodule, y: Bimodule, z: Bimodule):
     left = tensor_middle(xy.bimodule, z)
     right = tensor_middle(x, yz.bimodule)
     proj_yz, proj_right = projection_of(yz), projection_of(right)
+    for t in (xy, yz, left, right):
+        assert t.projection == projection_of(t)
 
     # embed T_left into the triple ambient: (t, k) -> sum s_xy[t]_{(i,j)} (i,j,k)
     dim_yz = y.dim * z.dim
@@ -245,12 +247,14 @@ class TestTensorMiddle:
         t = tensor_middle(x, b)
         assert t.bimodule.dim == x.dim
         assert sorted(t.bimodule.degrees) == sorted(x.degrees)
+        assert t.projection == projection_of(t)
 
     def test_unit_left(self):
         x = coproduct_left_action(1)
         b = regular_bimodule(SuperAlgebra(1))
         t = tensor_middle(b, x)
         assert t.bimodule.dim == x.dim
+        assert t.projection == projection_of(t)
 
     def test_projection_section(self):
         x = regular_bimodule(SuperAlgebra(2))
@@ -258,6 +262,7 @@ class TestTensorMiddle:
         proj = projection_of(t)
         assert proj @ t.section == IntMat.identity(t.bimodule.dim)
         assert (proj @ t.relations).is_zero()
+        assert t.projection == proj
 
     def test_empty_middle_is_external(self):
         x = regular_bimodule(SuperAlgebra(1))
@@ -271,6 +276,7 @@ class TestTensorMiddle:
         assert t.bimodule.dim == ext.dim
         assert sorted(zip(t.bimodule.degrees, t.bimodule.parities)) == \
             sorted(zip(ext.degrees, ext.parities))
+        assert t.projection == projection_of(t)
 
     def test_associative_up_to_witnessed_iso(self):
         triples = [
@@ -288,7 +294,7 @@ class TestTensorMiddle:
     def test_relations_without_units_take_the_euclidean_section(self, monkeypatch):
         # x0 . E = 2 x1 and E . y0 = 3 y1: the block of x1 (x) y0 and
         # x0 (x) y1 has the one relation (2, -3), no unit entry but
-        # invariant factor 1, so its section comes from u^-1
+        # invariant factor 1, so its section is solved for from u
         grades = Grades(Fraction(0), [0, -1], [0, 1])
         x = Bimodule(SuperAlgebra(0), SuperAlgebra(1), grades, [],
                      [IntMat(2, 2, {0: {1: 2}})])
@@ -303,12 +309,13 @@ class TestTensorMiddle:
 
         monkeypatch.setattr(superalg, "smith", recorded)
         t = tensor_middle(x, y)
-        assert ({"want_uinv": True}, 1) in calls
+        assert ({"want_u": True}, 1) in calls
         assert t.bimodule.dim == 2
         assert sorted(zip(t.bimodule.degrees, t.bimodule.parities)) == [(-1, 1), (0, 0)]
+        assert t.projection @ t.section == IntMat.identity(2)
         proj = projection_of(t)
-        assert proj @ t.section == IntMat.identity(2)
         assert (proj @ t.relations).is_zero()
+        assert t.projection == proj
         # the section vector of the (-1, 1) block is not an ambient basis vector
         assert any(len(col) > 1 for col in t.section.cols.values())
 
