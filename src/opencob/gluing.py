@@ -4,7 +4,9 @@ and the structural isomorphisms behind the monoidal functor.
 
 Every isomorphism returned here has already passed its verification
 pipeline; ConventionMismatch is raised (with the failing identity) if any
-step disagrees, which must never happen.
+step disagrees, which must never happen.  A self-gluing is the bare gluing
+map (``_glue_map``) followed by its certificate (``_certify_glue``); a
+composition folds the bare maps and is certified once, by its final iso.
 """
 
 from __future__ import annotations
@@ -234,35 +236,24 @@ def _new_element(adapted: AdaptedBasis, glue, model_bar):
     return None
 
 
-def self_glue_iso(surface_or_space, i1: str, i2: str,
-                  grading: Grading | None = None, *,
-                  sigma_sign: int = 1) -> GlueIsoResult:
-    """Glue two outgoing intervals and return the verified identification
-    of Z(F-bar) with Z(F)/im(E1+E2).
+@dataclass
+class _GlueMap:
+    """The gluing map of two outgoing intervals, before any check."""
 
-    ``psi`` kills the relations and intertwines the remaining generators,
-    the quotient oracle finds Z(F)/im(E1+E2) free with the graded ranks of
-    Z(F-bar), and ``psi`` is unimodular on the surviving adapted monomials
-    (``certify_unimodular``).  Together these prove at every size that psi
-    induces the isomorphism and that ``quotient_basis`` is a basis of the
-    quotient.
+    case_tag: str
+    created_sminus_circles: int
+    target_space: StateSpace
+    psi: IntMat               # full-space map Z(F) -> Z(F-bar)
+    adapted: AdaptedBasis
 
-    ``sigma_sign`` flips the orientation convention of the circle created in
-    the same-boundary-circle cases; both choices verify.
-    """
-    if isinstance(surface_or_space, StateSpace):
-        space = surface_or_space
-    else:
-        if grading is None:
-            raise ValueError("grading required when passing a surface")
-        space = build(surface_or_space, grading)
-    if sigma_sign not in (1, -1):
-        raise ValueError("sigma_sign must be +1 or -1")
+
+def _glue_map(space: StateSpace, i1: str, i2: str,
+              sigma_sign: int) -> _GlueMap:
+    """Glue ``i1`` to ``i2`` on ``space``'s surface: the adapted basis, the
+    glued surface and its space, and psi, the identification of adapted
+    monomials expanded in both canonical bases.  Nothing is checked here;
+    ``_certify_glue`` proves that psi induces Z(F)/im(E1+E2) = Z(F-bar)."""
     surface = space.surface
-    if surface.incoming:
-        raise NotOutgoing(
-            f"self-gluing requires all S+ outgoing; incoming: {surface.incoming}")
-
     adapted = adapted_basis(surface, i1, i2)
     case = adapted.case_tag
     n_special = len(adapted.specials)
@@ -319,7 +310,15 @@ def self_glue_iso(surface_or_space, i1: str, i2: str,
     psi = IntMat(target.dim, space.dim, ident) @ IntMat(space.dim, space.dim, {
         j: to_adapted.expand(mask) for j, mask in enumerate(space.monomials)})
     del to_adapted, ident
+    return _GlueMap(case, glue.created_sminus_circles, target, psi, adapted)
 
+
+def _certify_glue(space: StateSpace, i1: str, i2: str,
+                  glued: _GlueMap) -> GlueIsoResult:
+    """Prove that ``glued.psi`` induces Z(F)/im(E1+E2) = Z(F-bar), or raise
+    ConventionMismatch naming the check that failed."""
+    case, target, psi = glued.case_tag, glued.target_space, glued.psi
+    surface = space.surface
     rel = _relation_matrix(space, i1, i2)
 
     # 1. the map kills the gluing relations
@@ -375,16 +374,46 @@ def self_glue_iso(surface_or_space, i1: str, i2: str,
     survivors = [m for m in space.monomials if m & 1 or not shift]
 
     # 6. psi is unimodular on the survivors, expanded in the space's basis
-    from_adapted = WedgeMap(change_of_basis(adapted.basis, space.basis))
+    from_adapted = WedgeMap(change_of_basis(glued.adapted.basis, space.basis))
     q = from_adapted.matrix(survivors, space.index)
     del from_adapted
     certify_unimodular(psi @ q,
                        space.grades.select([space.index[m] for m in survivors]),
                        target.grades, case)
 
-    return GlueIsoResult(case, glue.created_sminus_circles,
-                         space, target, psi, adapted.basis, survivors,
+    return GlueIsoResult(case, glued.created_sminus_circles,
+                         space, target, psi, glued.adapted.basis, survivors,
                          oracle, shift, parity_shift)
+
+
+def self_glue_iso(surface_or_space, i1: str, i2: str,
+                  grading: Grading | None = None, *,
+                  sigma_sign: int = 1) -> GlueIsoResult:
+    """Glue two outgoing intervals and return the verified identification
+    of Z(F-bar) with Z(F)/im(E1+E2): the gluing map, then its certificate.
+
+    ``psi`` kills the relations and intertwines the remaining generators,
+    the quotient oracle finds Z(F)/im(E1+E2) free with the graded ranks of
+    Z(F-bar), and ``psi`` is unimodular on the surviving adapted monomials
+    (``certify_unimodular``).  Together these prove at every size that psi
+    induces the isomorphism and that ``quotient_basis`` is a basis of the
+    quotient.
+
+    ``sigma_sign`` flips the orientation convention of the circle created in
+    the same-boundary-circle cases; both choices verify.
+    """
+    if isinstance(surface_or_space, StateSpace):
+        space = surface_or_space
+    else:
+        if grading is None:
+            raise ValueError("grading required when passing a surface")
+        space = build(surface_or_space, grading)
+    if sigma_sign not in (1, -1):
+        raise ValueError("sigma_sign must be +1 or -1")
+    if space.surface.incoming:
+        raise NotOutgoing(f"self-gluing requires all S+ outgoing; "
+                          f"incoming: {space.surface.incoming}")
+    return _certify_glue(space, i1, i2, _glue_map(space, i1, i2, sigma_sign))
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +461,6 @@ class ComposeIsoResult:
     iso: GradedIso                 # tensor product (iso.source) -> Z(F' o F)
     composed_space: StateSpace
     case_tags: list
-    step_checks: list              # each gluing step's ``checks``
 
     def superdim(self):
         return graded_superdim(self.composed_space)
@@ -447,11 +475,19 @@ def compose_iso(fp: SuturedSurface, f: SuturedSurface, grading: Grading, *,
     then match the composed surface's own bimodule.  ``order``, a
     permutation of ``range(len(fp.incoming))``, permutes the gluing sequence.
 
-    The gluings are a fold that carries on only chi, the glued space, the
-    case tag and the step's ``checks``: each step's result is gone before the
-    next gluing starts.  The tensor product is built last, and its balancing
-    relations and chi are dropped once checked, before the composed
-    surface's bimodule is built and the iso verified.
+    The composition is certified once, by its final iso: chi kills the
+    balancing relations of the torsion-free tensor product, and
+    ``_verified`` proves chi on the tensor product's basis an even,
+    degree-0, unimodular intertwiner onto the composed surface's bimodule.
+    That proves the returned iso whatever the steps were, so each step
+    applies the bare gluing map (``_glue_map``): the gluing lemma's
+    certificate runs only in ``self_glue_iso``, and no step is returned.
+
+    The gluings are a fold that carries on only chi, the glued space and the
+    case tag: each step's map is gone before the next gluing starts.  The
+    tensor product is built last, and its balancing relations and chi are
+    dropped once checked, before the composed surface's bimodule is built
+    and the iso verified.
     """
     compose_preflight(fp, f)
     n = len(fp.incoming)
@@ -467,13 +503,12 @@ def compose_iso(fp: SuturedSurface, f: SuturedSurface, grading: Grading, *,
     chi = _union_map(space_p, space_f, current)
 
     pairs = [(a, fmap[b]) for a, b in zip(fp.incoming, f.outgoing)]
-    case_tags, step_checks = [], []
+    case_tags = []
     for idx in order:
-        res = self_glue_iso(current, *pairs[idx])
-        chi, current = res.psi @ chi, res.target_space
-        case_tags.append(res.case_tag)
-        step_checks.append(res.checks)
-        del res
+        glued = _glue_map(current, *pairs[idx], 1)
+        chi, current = glued.psi @ chi, glued.target_space
+        case_tags.append(glued.case_tag)
+        del glued
     if not pairs:
         # empty interface: composition is the disjoint union; convert the
         # concatenated basis to the canonical one
@@ -499,7 +534,7 @@ def compose_iso(fp: SuturedSurface, f: SuturedSurface, grading: Grading, *,
     del chi, tensor
 
     iso = _verified(matrix, source, bimodule_of(final), "composition iso")
-    return ComposeIsoResult(iso, final, case_tags, step_checks)
+    return ComposeIsoResult(iso, final, case_tags)
 
 
 def _signed_permutation(space: StateSpace, target: Bimodule, image) -> IntMat:

@@ -53,7 +53,6 @@ def test_criterion_1_theorem_gluing():
                 res = compose_iso(fp, f, grading)
                 assert isinstance(res.iso, GradedIso)
                 assert res.iso.checks[-1] == "unimodular"
-                assert all(c[-1] == "unimodular" for c in res.step_checks)
                 ran += 1
             except Exception as exc:  # noqa: BLE001 - recorded, then reported
                 failures.append((t, grading.describe(), repr(exc)))

@@ -459,22 +459,69 @@ class TestComposeIso:
             compose_iso(fp, f, PRESET_TENSOR, order=order)
 
     def test_step_results_die_before_the_next_gluing(self, monkeypatch):
-        honest = gluing.self_glue_iso
+        honest = gluing._glue_map
         results, alive = [], []
 
-        def tracked(*args, **kwargs):
+        def tracked(*args):
             gc.collect()
             alive.append(sum(ref() is not None for ref in results))
-            res = honest(*args, **kwargs)
+            res = honest(*args)
             results.append(weakref.ref(res))
             return res
 
-        monkeypatch.setattr(gluing, "self_glue_iso", tracked)
+        monkeypatch.setattr(gluing, "_glue_map", tracked)
         res = compose_iso(open_pants(3), three_identities(), PRESET_TENSOR)
         gc.collect()
         assert alive == [0, 0, 0]
         assert all(ref() is None for ref in results)
-        assert res.step_checks == [gluing.GlueIsoResult.checks] * 3
+        assert res.case_tags == ["1-3"] * 3
+
+    def test_steps_run_no_gluing_certificate(self, monkeypatch):
+        # a composition is certified by its final iso alone; the gluing
+        # lemma's oracle and unimodular certificate run only in self-gluings
+        calls = []
+
+        def counted(name):
+            honest = getattr(gluing, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return honest(*args, **kwargs)
+            monkeypatch.setattr(gluing, name, wrapper)
+
+        counted("quotient_oracle")
+        counted("certify_unimodular")
+        res = compose_iso(open_pants(3), three_identities(), PRESET_TENSOR)
+        assert isinstance(res.iso, GradedIso) and calls == []
+        self_glue_iso(surf([Component(0, (mk("i1", "x", "i2", "y"),))]),
+                      "i1", "i2", PRESET_TENSOR)
+        assert calls == ["quotient_oracle", "certify_unimodular"]
+
+    def test_a_corrupted_step_fails_the_final_iso(self, monkeypatch):
+        # the last of three 1-3 gluings with psi's last column negated: chi
+        # still kills the balancing relations, and the final check refuses
+        # the composite
+        honest = gluing._glue_map
+        steps = []
+
+        def corrupted(*args):
+            glued = honest(*args)
+            steps.append(glued.case_tag)
+            if len(steps) == 3:
+                psi = glued.psi
+                j = psi.ncols - 1
+                cols = {**psi.cols, j: {i: -v for i, v in psi.cols[j].items()}}
+                glued = dataclasses.replace(
+                    glued, psi=IntMat(psi.nrows, psi.ncols, cols))
+            return glued
+
+        fp, f = open_pants(3), three_identities()
+        compose_iso(fp, f, PRESET_TENSOR)
+        monkeypatch.setattr(gluing, "_glue_map", corrupted)
+        with pytest.raises(ConventionMismatch,
+                           match="composition iso failed: intertwining failure"):
+            compose_iso(fp, f, PRESET_TENSOR)
+        assert steps == ["1-3"] * 3
 
     def test_relations_die_before_the_final_bimodule(self, monkeypatch):
         # the balancing relations are dropped once chi kills them, before
@@ -513,7 +560,6 @@ class TestComposeIso:
                 res = compose_iso(fp, f, grading)
                 assert isinstance(res.iso, GradedIso)
                 assert res.iso.checks[-1] == "unimodular"
-                assert all(c[-1] == "unimodular" for c in res.step_checks)
                 assert res.superdim() == res.iso.source.superdim()
 
     def test_generic_params(self):

@@ -46,7 +46,8 @@ LIST_TEST = "tests/test_source.py::test_survey_lists_every_verdict_site"
 PATHS = (
     "tests/test_snf.py", "tests/test_grading.py", "tests/test_surface.py",
     "tests/test_homology.py", "tests/test_statespace.py",
-    "tests/test_superalg.py", "tests/test_gluing.py", "tests/test_harness.py",
+    "tests/test_superalg.py", "tests/test_gluing.py",
+    "tests/test_small_scope.py", "tests/test_harness.py",
     "tests/test_cli.py", "tests/test_golden.py", "tests/test_demos.py",
     "tests/test_readme.py", "tests/test_source.py", "perfbench/test_checks.py",
     "tests/test_acceptance.py",
@@ -63,16 +64,16 @@ SITES = (
      "case {}: psi on the quotient basis leaves column {}'s block"),
     ("gluing.py", "certify_unimodular",
      "case {}: psi is not unimodular on the quotient basis"),
-    ("gluing.py", "self_glue_iso", "case {}: map does not kill im(E1+E2)"),
-    ("gluing.py", "self_glue_iso", "case {}: degree shift {}, expected {}"),
-    ("gluing.py", "self_glue_iso", "case {}: parity shift {}"),
-    ("gluing.py", "self_glue_iso",
+    ("gluing.py", "_certify_glue", "case {}: map does not kill im(E1+E2)"),
+    ("gluing.py", "_certify_glue", "case {}: degree shift {}, expected {}"),
+    ("gluing.py", "_certify_glue", "case {}: parity shift {}"),
+    ("gluing.py", "_certify_glue",
      "case {}: psi is not even of degree zero (column {})"),
-    ("gluing.py", "self_glue_iso", "case {}: E_{} does not intertwine"),
-    ("gluing.py", "self_glue_iso",
+    ("gluing.py", "_certify_glue", "case {}: E_{} does not intertwine"),
+    ("gluing.py", "_certify_glue",
      "case {}: E_{} does not anticommute with E1+E2"),
-    ("gluing.py", "self_glue_iso", "case {}: quotient has torsion {}"),
-    ("gluing.py", "self_glue_iso",
+    ("gluing.py", "_certify_glue", "case {}: quotient has torsion {}"),
+    ("gluing.py", "_certify_glue",
      "case {}: quotient ranks {} != target {} by (word length, parity)"),
     ("gluing.py", "compose_iso", "composed basis differs from the canonical basis"),
     ("gluing.py", "compose_iso",
