@@ -244,7 +244,7 @@ class _GlueMap:
     created_sminus_circles: int
     target_space: StateSpace
     psi: IntMat               # full-space map Z(F) -> Z(F-bar)
-    adapted: AdaptedBasis
+    adapted_basis: H1Basis
 
 
 def _glue_map(space: StateSpace, i1: str, i2: str,
@@ -310,7 +310,8 @@ def _glue_map(space: StateSpace, i1: str, i2: str,
     psi = IntMat(target.dim, space.dim, ident) @ IntMat(space.dim, space.dim, {
         j: to_adapted.expand(mask) for j, mask in enumerate(space.monomials)})
     del to_adapted, ident
-    return _GlueMap(case, glue.created_sminus_circles, target, psi, adapted)
+    return _GlueMap(case, glue.created_sminus_circles, target, psi,
+                    adapted.basis)
 
 
 def _certify_glue(space: StateSpace, i1: str, i2: str,
@@ -374,7 +375,7 @@ def _certify_glue(space: StateSpace, i1: str, i2: str,
     survivors = [m for m in space.monomials if m & 1 or not shift]
 
     # 6. psi is unimodular on the survivors, expanded in the space's basis
-    from_adapted = WedgeMap(change_of_basis(glued.adapted.basis, space.basis))
+    from_adapted = WedgeMap(change_of_basis(glued.adapted_basis, space.basis))
     q = from_adapted.matrix(survivors, space.index)
     del from_adapted
     certify_unimodular(psi @ q,
@@ -382,7 +383,7 @@ def _certify_glue(space: StateSpace, i1: str, i2: str,
                        target.grades, case)
 
     return GlueIsoResult(case, glued.created_sminus_circles,
-                         space, target, psi, glued.adapted.basis, survivors,
+                         space, target, psi, glued.adapted_basis, survivors,
                          oracle, shift, parity_shift)
 
 

@@ -406,9 +406,7 @@ def tensor_middle(x: Bimodule, y: Bimodule) -> TensorResult:
     took no Euclidean step, the section is the ambient basis vectors at the
     block's ``free_rows`` (``SmithForm``).  A block that took a Euclidean
     step gets its section from columns ``rank..`` of u^-1, solved for with
-    ``solve_exact`` from the u it has.  A block with no relation column
-    runs no Smith form: its u is the identity, so its projection and
-    section are the identity on its rows.  An outer generator induces
+    ``solve_exact`` from the u it has.  An outer generator induces
     ``projection @ generator @ section``.  Raises TorsionDetected if any
     block has a nonunit invariant factor.
     """
@@ -434,14 +432,6 @@ def tensor_middle(x: Bimodule, y: Bimodule) -> TensorResult:
     n_quot = 0
     for b, (key, rcols) in enumerate(zip(keys, rel_by_block)):
         idxs = blocks[key]
-        if not rcols:
-            # no relation: u is the identity and every row is free
-            for k, g in enumerate(idxs):
-                proj_cols_tmp[g] = {n_quot + k: 1}
-                sect_cols[n_quot + k] = {g: 1}
-            basis_meta.extend([key] * len(idxs))
-            n_quot += len(idxs)
-            continue
         sub = IntMat(len(idxs), len(rcols))
         for jc, col in enumerate(rcols):
             local_col = sub.cols[jc] = {}
