@@ -344,18 +344,17 @@ def _certify_glue(space: StateSpace, i1: str, i2: str,
             f"case {case}: psi is not even of degree zero "
             f"(column {bad and bad[0]})")
 
-    # 4. remaining generators intertwine on the nose and preserve im(E1+E2)
+    # 4. remaining generators intertwine on the nose.  That they preserve
+    #    im(E1+E2) follows and is not checked: psi is onto (6), and the
+    #    quotient Z(F)/im(E1+E2) is free with the target's graded ranks (5),
+    #    so psi induces an isomorphism from it and ker psi = im(E1+E2); then
+    #    psi E_s = E'_s psi sends im(E1+E2) into ker psi.
     remaining = [s for s in surface.outgoing if s not in (i1, i2)
                  and surface.is_interval(s)]
     for sid in remaining:
-        e_src = action_matrix(space, sid)
-        e_dst = action_matrix(target, sid)
-        if psi @ e_src != e_dst @ psi:
+        if psi @ action_matrix(space, sid) != action_matrix(target, sid) @ psi:
             raise ConventionMismatch(
                 f"case {case}: E_{sid} does not intertwine")
-        if not (e_src @ rel).is_negative_of(rel @ e_src):
-            raise ConventionMismatch(
-                f"case {case}: E_{sid} does not anticommute with E1+E2")
 
     # 5. independent rank oracle: the quotient is free with the same graded
     #    ranks as the target

@@ -5,7 +5,10 @@ from fractions import Fraction
 import pytest
 
 from opencob import superalg
+from opencob.grading import PRESET_TENSOR
+from opencob.harness import Bounds, random_composable_pair
 from opencob.snf import IntMat, smith
+from opencob.statespace import bimodule_of, build
 from opencob.superalg import (ActionRelationViolation, AlgebraMismatch,
                               Bimodule, GradedIso, Grades, IsoFailure,
                               SuperAlgebra, TorsionDetected,
@@ -105,6 +108,13 @@ class TestBimoduleValidation:
             Bimodule(SuperAlgebra(1), SuperAlgebra(0),
                      Grades(Fraction(0), [0, -2], [0, 1]),
                      [IntMat(2, 2, {0: {1: 1}})], [])
+        # an inhomogeneous right action, whose balancing relations would
+        # each leave their graded block
+        with pytest.raises(ActionRelationViolation,
+                           match="right generator 0 is not odd of degree -1"):
+            Bimodule(SuperAlgebra(0), SuperAlgebra(1),
+                     Grades(Fraction(0), [0, -1], [0, 1]), [],
+                     [IntMat(2, 2, {0: {0: 1, 1: 1}})])
 
     def test_wrong_shape_detected(self):
         with pytest.raises(ActionRelationViolation,
@@ -127,12 +137,11 @@ class TestBimoduleValidation:
         # sign +1 and no Koszul sign, so they commute: E1 E2 + E2 E1 = 2 E1E2
         e1 = IntMat(4, 4, {0: {1: 1}, 2: {3: 1}})
         e2 = IntMat(4, 4, {0: {2: 1}, 1: {3: 1}})
-        bim = Bimodule(SuperAlgebra(2), SuperAlgebra(0),
-                       Grades(Fraction(0), [0, -1, -1, -2], [0, 1, 1, 0]),
-                       [e1, e2], [], label="commuting", check=False)
         with pytest.raises(ActionRelationViolation,
                            match="commuting: left generators 0,1 do not anticommute"):
-            bim.validate()
+            Bimodule(SuperAlgebra(2), SuperAlgebra(0),
+                     Grades(Fraction(0), [0, -1, -1, -2], [0, 1, 1, 0]),
+                     [e1, e2], [], label="commuting")
 
 
 class TestExternalTensor:
@@ -319,14 +328,21 @@ class TestTensorMiddle:
         # the section vector of the (-1, 1) block is not an ambient basis vector
         assert any(len(col) > 1 for col in t.section.cols.values())
 
-    def test_relation_leaving_its_block_is_refused(self):
-        # an inhomogeneous right action puts one relation in two blocks
-        grades = Grades(Fraction(0), [0, -1], [0, 1])
-        x = Bimodule(SuperAlgebra(0), SuperAlgebra(1), grades, [],
-                     [IntMat(2, 2, {0: {0: 1, 1: 1}})], check=False)
-        y = regular_bimodule(SuperAlgebra(1))
-        with pytest.raises(ValueError, match="leaves its graded block"):
-            tensor_middle(x, y)
+    def test_outer_generators_preserve_the_balancing_submodule(self):
+        # tensor_middle does not check this: it follows from X and Y being
+        # valid bimodules, whose left and right actions commute
+        rng = random.Random(42)
+        checked = 0
+        for _ in range(8):
+            fp, f = random_composable_pair(rng, Bounds(max_h=6))
+            x, y = (bimodule_of(build(s, PRESET_TENSOR)) for s in (fp, f))
+            t = tensor_middle(x, y)
+            outer = [superalg._on_first(a, y.dim) for a in x.left_actions]
+            outer += [superalg._on_second(a, x.dim) for a in y.right_actions]
+            for amb in outer:
+                assert (t.projection @ amb @ t.relations).is_zero()
+            checked += len(outer) * (t.relations.ncols > 0)
+        assert checked
 
     def test_torsion_detected(self):
         # doubled actions on both sides of the balancing relation leave a Z/2
@@ -335,18 +351,6 @@ class TestTensorMiddle:
         x = Bimodule(SuperAlgebra(0), SuperAlgebra(1), grades, [], [two_n])
         y = Bimodule(SuperAlgebra(1), SuperAlgebra(0), grades, [two_n], [])
         with pytest.raises(TorsionDetected):
-            tensor_middle(x, y)
-
-    def test_outer_action_must_preserve_the_balancing_submodule(self):
-        # X is A(2) with left generator E1 and, as its right generator, left
-        # multiplication by E2: both anticommute instead of commuting, so the
-        # outer E1 moves the relation x.E (x) 1 - x (x) E off the submodule
-        a2 = regular_bimodule(SuperAlgebra(2))
-        x = Bimodule(SuperAlgebra(1), SuperAlgebra(1), a2.grades,
-                     a2.left_actions[:1], a2.left_actions[1:], check=False)
-        y = regular_bimodule(SuperAlgebra(1))
-        with pytest.raises(ActionRelationViolation, match="outer action does not "
-                           "preserve the balancing submodule"):
             tensor_middle(x, y)
 
 
@@ -496,6 +500,5 @@ class TestIsGradedIso:
 
 
 def test_products_always_validate():
-    # only a hand-built Bimodule can skip validation, never a product
-    for product in (external_tensor, tensor_middle):
-        assert "check" not in inspect.signature(product).parameters
+    # no Bimodule can skip validation, so neither can a product
+    assert "check" not in inspect.signature(Bimodule).parameters

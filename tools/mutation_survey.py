@@ -70,8 +70,6 @@ SITES = (
     ("gluing.py", "_certify_glue",
      "case {}: psi is not even of degree zero (column {})"),
     ("gluing.py", "_certify_glue", "case {}: E_{} does not intertwine"),
-    ("gluing.py", "_certify_glue",
-     "case {}: E_{} does not anticommute with E1+E2"),
     ("gluing.py", "_certify_glue", "case {}: quotient has torsion {}"),
     ("gluing.py", "_certify_glue",
      "case {}: quotient ranks {} != target {} by (word length, parity)"),
@@ -96,8 +94,6 @@ SITES = (
     ("superalg.py", "middle_relations", "middle algebras differ"),
     ("superalg.py", "tensor_middle",
      "block (degree {}, parity {}) has invariant factors {}"),
-    ("superalg.py", "tensor_middle.induced",
-     "outer action does not preserve the balancing submodule"),
     ("superalg.py", "is_graded_iso", "algebra mismatch"),
     ("superalg.py", "is_graded_iso", "rank mismatch"),
     ("superalg.py", "is_graded_iso", "shape mismatch"),
