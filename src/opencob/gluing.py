@@ -498,7 +498,7 @@ def compose_iso(fp: SuturedSurface, f: SuturedSurface, grading: Grading, *,
     space_f = build(f, grading)
 
     union, fmap = disjoint_union_with_maps(fp, f)
-    g0 = SuturedSurface(union.components, (), union.splus_ids())
+    g0 = SuturedSurface.all_outgoing(union.components)
     current = _union_space(space_p, space_f, g0, fmap)
     chi = _union_map(space_p, space_f, current)
 

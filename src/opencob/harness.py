@@ -112,17 +112,16 @@ def random_surface(rng: random.Random, bounds: Bounds = Bounds(), *,
                 else:
                     circles.append(BoundaryCircle.full_minus())
             comps.append(Component(genus, tuple(circles)))
-        ids = tuple(i for c in comps for b in c.circles for i in b.plus_ids())
-        surf = SuturedSurface(tuple(comps), (), ids)
+        surf = SuturedSurface.all_outgoing(comps)
         if rank_h(surf) > bounds.max_h:
             continue
-        n_intervals = len(surf.interval_ids())
-        if n_intervals < require_intervals:
+        if len(surf.interval_ids()) < require_intervals:
             continue
         if not all_outgoing:
+            ids = surf.outgoing
             inc = tuple(s for s in ids if rng.random() < 0.5)
             out = tuple(s for s in ids if s not in inc)
-            surf = SuturedSurface(tuple(comps), inc, out)
+            surf = SuturedSurface(surf.components, inc, out)
         return surf
     raise RuntimeError("random surface generation failed to meet the bounds")
 
@@ -286,10 +285,7 @@ def verify_theorem(seed=0, trials=200, max_h=8) -> VerificationReport:
 def lemma_case_instances():
     """The ten handcrafted instances, one per case and sub-case."""
     mk = BoundaryCircle.mixed
-
-    def surf(comps):
-        ids = tuple(i for c in comps for b in c.circles for i in b.plus_ids())
-        return SuturedSurface(tuple(comps), (), ids)
+    surf = SuturedSurface.all_outgoing
 
     out = []
     out.append(("1-1", 1, surf([Component(0, (mk("i1"),)),

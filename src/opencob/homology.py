@@ -44,7 +44,6 @@ class H1Model:
         self.coords: list[tuple] = []
         self.exception: dict[int, int] = {}   # component -> exception circle index
         self.root: dict[int, str] = {}        # component -> root S+ id
-        self.comp_of_id: dict[str, int] = {}
         sminus_meeting: dict[int, list[int]] = {}
         for ci, comp in enumerate(surface.components):
             for i in range(2 * comp.genus):
@@ -56,8 +55,6 @@ class H1Model:
                 for bi in meeting[1:]:
                     self.coords.append((BCLS, ci, bi))
             splus = surface.splus_of_component(ci)
-            for sid in splus:
-                self.comp_of_id[sid] = ci
             if splus:
                 self.root[ci] = splus[0]
                 for sid in splus[1:]:
@@ -82,8 +79,8 @@ class H1Model:
         return {self.index[(BCLS, ci, bi)]: 1}
 
     def arc_class(self, tail: str, head: str):
-        ci = self.comp_of_id[tail]
-        if self.comp_of_id[head] != ci:
+        ci = self.surface.locate(tail)[0]
+        if self.surface.locate(head)[0] != ci:
             raise InvalidBasis(f"arc {tail}->{head} crosses components")
         vec: dict[int, int] = {}
         for sid, sign in ((head, 1), (tail, -1)):
@@ -98,7 +95,7 @@ class H1Model:
 
     def phi(self, interval: str, vec: dict) -> int:
         """Boundary functional of an S+ interval on a model class."""
-        ci = self.comp_of_id[interval]
+        ci = self.surface.locate(interval)[0]
         total = 0
         if interval != self.root.get(ci):
             total += vec.get(self.index[(KDIFF, ci, interval)], 0)

@@ -220,9 +220,8 @@ def action_matrix(space: StateSpace, interval: str) -> IntMat:
 def bimodule_of(space: StateSpace) -> Bimodule:
     """The (A(M2), A(M1))-bimodule structure, generators in the l-order."""
     surface = space.surface
-    intervals = set(surface.interval_ids())
-    left_ids = [s for s in surface.outgoing if s in intervals]
-    right_ids = [s for s in surface.incoming if s in intervals]
+    left_ids = [s for s in surface.outgoing if surface.is_interval(s)]
+    right_ids = [s for s in surface.incoming if surface.is_interval(s)]
     lefts = [action_matrix(space, s) for s in left_ids]
     rights = [action_matrix(space, s) for s in right_ids]
     return Bimodule(SuperAlgebra(len(lefts)), SuperAlgebra(len(rights)),

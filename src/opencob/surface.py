@@ -5,6 +5,10 @@ list of boundary circles.  A boundary circle is either entirely in S+ (it
 carries one S+ id), entirely in S-, or mixed: an alternating cyclic word of
 S+ arcs (each with its own id) and S- arcs.  Every S+ component is labeled
 incoming or outgoing, and each side is ordered.
+
+A surface indexes its S+ ids when it is constructed: validation walks the
+circles once and records, in boundary order, each id's component, circle
+and whether it is an interval, and every id query reads that table.
 """
 
 from __future__ import annotations
@@ -130,90 +134,87 @@ class SuturedSurface:
     outgoing: tuple[str, ...] = ()
 
     def __post_init__(self):
-        validate(self)
+        # sid -> (component, circle, is_interval), in boundary order; not a
+        # field, so ==, hash and repr stay over the three fields
+        object.__setattr__(self, "_splus", validate(self))
+
+    @classmethod
+    def all_outgoing(cls, components) -> "SuturedSurface":
+        """The surface with every S+ id outgoing, in boundary order."""
+        components = tuple(components)
+        return cls(components, (), tuple(
+            sid for comp in components for circ in comp.circles
+            for sid in circ.plus_ids()))
 
     def splus_ids(self) -> tuple[str, ...]:
-        out = []
-        for comp in self.components:
-            for circ in comp.circles:
-                out.extend(circ.plus_ids())
-        return tuple(out)
+        return tuple(self._splus)
 
     def interval_ids(self) -> tuple[str, ...]:
-        out = []
-        for comp in self.components:
-            for circ in comp.circles:
-                if circ.kind == MIXED:
-                    out.extend(circ.plus_ids())
-        return tuple(out)
-
-    def circle_ids(self) -> tuple[str, ...]:
-        out = []
-        for comp in self.components:
-            for circ in comp.circles:
-                if circ.kind == FULL_PLUS:
-                    out.append(circ.plus_id)
-        return tuple(out)
+        return tuple(sid for sid, (_, _, interval) in self._splus.items()
+                     if interval)
 
     def is_interval(self, sid: str) -> bool:
-        return sid in self.interval_ids()
+        return sid in self._splus and self._splus[sid][2]
 
     def locate(self, sid: str):
         """Return (component index, circle index) of the S+ component ``sid``."""
-        for ci, comp in enumerate(self.components):
-            for bi, circ in enumerate(comp.circles):
-                if sid in circ.plus_ids():
-                    return ci, bi
-        raise SurfaceError(f"unknown S+ id {sid!r}")
+        if sid not in self._splus:
+            raise SurfaceError(f"unknown S+ id {sid!r}")
+        ci, bi, _ = self._splus[sid]
+        return ci, bi
 
     def splus_of_component(self, ci: int) -> tuple[str, ...]:
-        out = []
-        for circ in self.components[ci].circles:
-            out.extend(circ.plus_ids())
-        return tuple(out)
+        return tuple(sid for sid, (c, _, _) in self._splus.items() if c == ci)
 
 
-def validate(surface: SuturedSurface) -> None:
-    """Raise a SurfaceError naming the offender if any invariant fails."""
-    seen: set[str] = set()
+def validate(surface: SuturedSurface) -> dict:
+    """Raise a SurfaceError naming the offender if any invariant fails; else
+    return the surface's S+ ids in boundary order, each mapped to its
+    (component, circle, is_interval)."""
+    seen: dict[str, tuple[int, int, bool]] = {}
     for ci, comp in enumerate(surface.components):
         if comp.genus < 0:
             raise SurfaceError(f"component {ci}: negative genus")
         for bi, circ in enumerate(comp.circles):
-            where = f"component {ci}, circle {bi}"
             if circ.kind == FULL_PLUS:
                 if circ.plus_id is None:
-                    raise SurfaceError(f"{where}: full+ circle without id")
+                    raise SurfaceError(
+                        f"component {ci}, circle {bi}: full+ circle without id")
                 ids = [circ.plus_id]
             elif circ.kind == FULL_MINUS:
                 ids = []
             elif circ.kind == MIXED:
                 word = circ.word
                 if len(word) < 2 or len(word) % 2 != 0:
-                    raise AlternationViolation(
-                        f"{where}: mixed word must have even length >= 2")
+                    raise AlternationViolation(f"component {ci}, circle {bi}: "
+                                               f"mixed word must have even length >= 2")
                 for k, arc in enumerate(word):
                     nxt = word[(k + 1) % len(word)]
                     if (arc is None) == (nxt is None):
                         raise AlternationViolation(
-                            f"{where}: adjacent arcs of the same sign at position {k}")
+                            f"component {ci}, circle {bi}: adjacent arcs of the "
+                            f"same sign at position {k}")
                 ids = [w for w in word if w is not None]
             else:
-                raise SurfaceError(f"{where}: unknown circle kind {circ.kind!r}")
+                raise SurfaceError(f"component {ci}, circle {bi}: "
+                                   f"unknown circle kind {circ.kind!r}")
+            entry = (ci, bi, circ.kind == MIXED)
             for sid in ids:
                 if sid in seen:
                     raise DuplicateSPlusId(f"S+ id {sid!r} occurs twice")
-                seen.add(sid)
+                seen[sid] = entry
     labeled = list(surface.incoming) + list(surface.outgoing)
-    if len(set(labeled)) != len(labeled):
+    labels = set(labeled)
+    if len(labels) != len(labeled):
         dup = next(s for s in labeled if labeled.count(s) > 1)
         raise OrderingMismatch(f"S+ id {dup!r} listed twice in incoming/outgoing")
-    if set(labeled) != seen:
-        missing = seen - set(labeled)
-        extra = set(labeled) - seen
+    if seen.keys() != labels:
+        missing = seen.keys() - labels
+        extra = labels - seen.keys()
         if missing:
             raise OrderingMismatch(f"S+ ids not labeled incoming/outgoing: {sorted(missing)}")
         raise OrderingMismatch(f"labeled ids not on the surface: {sorted(extra)}")
+    return seen
 
 
 @dataclass(frozen=True)
@@ -247,7 +248,8 @@ class CountVector:
 
 def counts(surface: SuturedSurface) -> CountVector:
     k1 = len(surface.components)
-    k2 = k3 = k4 = k5 = k6 = k7 = k8 = k9 = 0
+    k6 = len(surface.interval_ids())
+    k2 = k3 = k4 = k5 = k7 = k8 = k9 = 0
     for comp in surface.components:
         k2 += comp.genus
         if comp.closed:
@@ -266,7 +268,6 @@ def counts(surface: SuturedSurface) -> CountVector:
                 k8 += 1
             else:
                 k9 += 1
-                k6 += len(circ.plus_ids())
     return CountVector(k1, k2, k3, k4, k5, k6, k7, k8, k9)
 
 
@@ -328,7 +329,7 @@ def classify_gluing(surface: SuturedSurface, i1: str, i2: str) -> str:
     if i1 == i2:
         raise SameInterval(f"cannot glue {i1!r} to itself")
     for sid in (i1, i2):
-        if sid not in surface.interval_ids():
+        if not surface.is_interval(sid):
             raise NotAnInterval(f"{sid!r} is not an S+ interval")
         if sid not in surface.outgoing:
             raise NotOutgoing(f"{sid!r} is not outgoing")
@@ -460,10 +461,10 @@ def compose_preflight(fp: SuturedSurface, f: SuturedSurface):
             f"outgoing(F) has {len(f.outgoing)} components, "
             f"incoming(F') has {len(fp.incoming)}")
     for sid in f.outgoing:
-        if sid in f.circle_ids():
+        if not f.is_interval(sid):
             raise CircleInGluingRegion(f"outgoing S+ circle {sid!r} in interface")
     for sid in fp.incoming:
-        if sid in fp.circle_ids():
+        if not fp.is_interval(sid):
             raise CircleInGluingRegion(f"incoming S+ circle {sid!r} in interface")
 
 
@@ -472,7 +473,7 @@ def compose(fp: SuturedSurface, f: SuturedSurface) -> SuturedSurface:
     compose_preflight(fp, f)
     union, fmap = disjoint_union_with_maps(fp, f)
     # work on the all-outgoing relabeling, then restore labels
-    current = SuturedSurface(union.components, (), union.splus_ids())
+    current = SuturedSurface.all_outgoing(union.components)
     for a, b in zip(fp.incoming, f.outgoing):
         current = glue_intervals(current, a, fmap[b]).surface
     return SuturedSurface(current.components,
@@ -533,10 +534,7 @@ def annulus(side1, side2) -> SuturedSurface:
             return BoundaryCircle.full_minus()
         return BoundaryCircle.mixed(*spec[1:])
 
-    circles = (build(side1), build(side2))
-    ids = [i for c in circles for i in c.plus_ids()]
-    comp = Component(0, circles)
-    return SuturedSurface((comp,), (), tuple(ids))
+    return SuturedSurface.all_outgoing((Component(0, (build(side1), build(side2))),))
 
 
 def _as_labels(labels, offset=0):

@@ -1,9 +1,14 @@
-import pytest
+import dataclasses
+import random
 
+import pytest
+from test_small_scope import small_surfaces
+
+from opencob.harness import Bounds, random_surface
 from opencob.surface import (AlternationViolation, ArityMismatch,
                              BoundaryCircle, CircleInGluingRegion, Component,
                              DuplicateSPlusId, OrderingMismatch, ParseError,
-                             SameInterval, SuturedSurface, annulus,
+                             SameInterval, SurfaceError, SuturedSurface, annulus,
                              classify_gluing, compose, counts,
                              disjoint_union, euler_characteristic, format_surface,
                              glue_intervals, identity_cobordism, open_pants,
@@ -46,6 +51,45 @@ class TestValidation:
     def test_unlabeled_id_rejected(self):
         with pytest.raises(OrderingMismatch):
             SuturedSurface((Component(0, (mk("a"),)),), (), ())
+
+
+def walked_ids(s):
+    """(sid, component, circle, is_interval) of every S+ id, read off each
+    circle in boundary order."""
+    return [(sid, ci, bi, circ.kind == "mixed")
+            for ci, comp in enumerate(s.components)
+            for bi, circ in enumerate(comp.circles)
+            for sid in circ.plus_ids()]
+
+
+class TestIdTable:
+    def test_queries_match_a_walk_of_the_circles(self):
+        rng = random.Random(61)
+        drawn = [random_surface(rng, Bounds(max_h=8), all_outgoing=False)
+                 for _ in range(300)]
+        for s in list(small_surfaces()) + drawn:
+            walk = walked_ids(s)
+            assert s.splus_ids() == tuple(sid for sid, *_ in walk)
+            assert s.interval_ids() == tuple(sid for sid, _, _, iv in walk if iv)
+            for sid, ci, bi, interval in walk:
+                assert s.locate(sid) == (ci, bi)
+                assert s.is_interval(sid) == interval
+            for ci in range(len(s.components)):
+                assert s.splus_of_component(ci) == tuple(
+                    sid for sid, c, _, _ in walk if c == ci)
+
+    def test_unknown_id(self):
+        s = surf([Component(0, (mk("a", "b"), BoundaryCircle.full_plus("c")))])
+        with pytest.raises(SurfaceError, match="unknown S\\+ id 'z'"):
+            s.locate("z")
+        assert not s.is_interval("z") and not s.is_interval("c")
+
+    def test_table_is_not_a_field(self):
+        s = surf([Component(0, (mk("a", "b"),))])
+        assert [f.name for f in dataclasses.fields(s)] == [
+            "components", "incoming", "outgoing"]
+        assert "_splus" not in repr(s)
+        assert SuturedSurface(s.components, (), ("a", "b")) == s
 
 
 class TestCounts:
