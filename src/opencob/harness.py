@@ -20,6 +20,13 @@ from .statespace import build, graded_superdim
 from .surface import (BoundaryCircle, Component, SurfaceError,
                       SuturedSurface, format_surface, rank_h)
 
+# random_surface's weights for a component's genus (from 0) and number of
+# circles (from 0), and a mixed circle's number of arcs (from 1); Bounds
+# refuses a maximum past the end of its table
+GENUS_WEIGHTS = (6, 3, 1)
+CIRCLE_WEIGHTS = (1, 6, 3, 2)
+ARC_WEIGHTS = (6, 3, 1)
+
 
 @dataclass(frozen=True)
 class Bounds:
@@ -28,6 +35,18 @@ class Bounds:
     max_circles: int = 3
     max_arcs: int = 3
     max_h: int = 8
+
+    def __post_init__(self):
+        if self.max_components < 1:
+            raise ValueError(
+                f"max_components must be at least 1, got {self.max_components}")
+        for name, low, high in (("max_genus", 0, len(GENUS_WEIGHTS) - 1),
+                                ("max_circles", 0, len(CIRCLE_WEIGHTS) - 1),
+                                ("max_arcs", 1, len(ARC_WEIGHTS))):
+            value = getattr(self, name)
+            if not low <= value <= high:
+                raise ValueError(
+                    f"{name} must be in {low}..{high}, got {value}")
 
 
 @dataclass
@@ -94,16 +113,16 @@ def random_surface(rng: random.Random, bounds: Bounds = Bounds(), *,
         comps = []
         for _ in range(rng.randint(1, bounds.max_components)):
             genus = rng.choices(range(bounds.max_genus + 1),
-                                weights=[6, 3, 1][: bounds.max_genus + 1])[0]
+                                weights=GENUS_WEIGHTS[: bounds.max_genus + 1])[0]
             n_circ = rng.choices(range(bounds.max_circles + 1),
-                                 weights=[1, 6, 3, 2][: bounds.max_circles + 1])[0]
+                                 weights=CIRCLE_WEIGHTS[: bounds.max_circles + 1])[0]
             circles = []
             for _ in range(n_circ):
                 kind = rng.choices(("mixed", "full+", "full-"),
                                    weights=(6, 2, 2))[0]
                 if kind == "mixed":
                     n_arcs = rng.choices(range(1, bounds.max_arcs + 1),
-                                         weights=(6, 3, 1)[: bounds.max_arcs])[0]
+                                         weights=ARC_WEIGHTS[: bounds.max_arcs])[0]
                     circles.append(
                         BoundaryCircle.mixed(*_fresh_ids(prefix, counter, n_arcs)))
                 elif kind == "full+":

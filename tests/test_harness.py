@@ -43,6 +43,15 @@ class TestRandomSurface:
         assert rng.getstate() == random.Random(0).getstate()
 
 
+    @pytest.mark.parametrize("field,value", [
+        ("max_components", 0), ("max_genus", -1), ("max_genus", 3),
+        ("max_circles", -1), ("max_circles", 4), ("max_arcs", 0),
+        ("max_arcs", 4)])
+    def test_bounds_the_generator_cannot_draw_are_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            Bounds(**{field: value})
+
+
 class TestShrinking:
     def test_shrinks_to_minimal(self):
         rng = random.Random(11)
