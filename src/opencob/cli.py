@@ -57,7 +57,7 @@ def _load_surface(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return parse_surface(fh.read())
-    except (OSError, SurfaceError) as exc:
+    except (OSError, UnicodeDecodeError, SurfaceError) as exc:
         raise SystemExit2(str(exc))
 
 

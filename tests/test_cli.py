@@ -66,6 +66,14 @@ class TestCompute:
         path.write_text("component A genus x\n")
         assert main(["compute", str(path), "h"]) == 2
 
+    def test_undecodable_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bytes.surf"
+        path.write_bytes(b"component A genus 0\n\xff\n")
+        assert main(["compute", str(path), "h"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_parity_undefined_exit_2(self, tmp_path):
         path = tmp_path / "dpm.surf"
         path.write_text("component A genus 0\ncircle A mixed a -\noutgoing a\n")
