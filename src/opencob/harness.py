@@ -12,13 +12,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import gluing, statespace
-from .grading import (PRESET_HALF, PRESET_TENSOR, Grading, ParityParams,
-                      ShiftParams, constraint_residuals, delta_coeffs,
-                      solve_constraints)
+from .grading import (PRESET_HALF, PRESET_TENSOR, ConstraintCoeffs, Grading,
+                      ParityParams, ShiftParams, constraint_residuals,
+                      delta_coeffs, solve_constraints)
 from .homology import canonical_basis, cw_relative_h1
 from .statespace import build, graded_superdim
 from .surface import (BoundaryCircle, Component, SurfaceError,
-                      SuturedSurface, format_surface, rank_h)
+                      SuturedSurface, format_surface, rank_h, surface_fgp)
 
 # random_surface's weights for a component's genus (from 0) and number of
 # circles (from 0), and a mixed circle's number of arcs (from 1); Bounds
@@ -443,7 +443,6 @@ def verify_constraints(seed=0, trials=50, max_h=None) -> VerificationReport:
         bump = Fraction(rng.randint(1, 5), rng.randint(1, 3))
         vec = list(coeffs.c)
         vec[k] += bump
-        from .grading import ConstraintCoeffs
         res = constraint_residuals(ConstraintCoeffs(tuple(vec)))
         if all(r == 0 for r in res):
             report.failures.append(Failure(
@@ -454,7 +453,6 @@ def verify_constraints(seed=0, trials=50, max_h=None) -> VerificationReport:
 def verify_dimensions(seed=0, trials=None, max_h=None) -> VerificationReport:
     instances = [(g, p) for g in range(4) for p in range(1, 5)]
     report = VerificationReport("dimensions", seed, len(instances))
-    from .surface import surface_fgp
     for g, p in instances:
         surf = surface_fgp(g, p)
         try:

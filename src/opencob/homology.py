@@ -20,7 +20,8 @@ import functools
 from dataclasses import dataclass
 
 from .snf import IntMat, is_unimodular, smith, solve_exact
-from .surface import FULL_MINUS, FULL_PLUS, MIXED, SuturedSurface, rank_h
+from .surface import (FULL_MINUS, FULL_PLUS, MIXED, SuturedSurface,
+                      classify_gluing, rank_h)
 
 
 class IncompatibleBases(ValueError):
@@ -255,8 +256,6 @@ class AdaptedBasis:
 
 
 def adapted_basis(surface: SuturedSurface, i1: str, i2: str) -> AdaptedBasis:
-    from .surface import classify_gluing  # local import keeps module deps one-way
-
     case = classify_gluing(surface, i1, i2)
     model = model_of(surface)
     c1, b1 = surface.locate(i1)
