@@ -101,27 +101,32 @@ def test_references_are_found():
 def definitions(tree: ast.AST) -> list:
     """The module-level functions and classes of ``tree`` and the methods of
     its classes, apart from the dunders that Python calls itself, with their
-    line numbers."""
+    line numbers and whether each is a method."""
     found = []
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
-            found += [(sub.name, sub.lineno) for sub in node.body
+            found += [(sub.name, sub.lineno, True) for sub in node.body
                       if isinstance(sub, ast.FunctionDef)
                       and not (sub.name.startswith("__") and sub.name.endswith("__"))]
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            found.append((node.name, node.lineno))
+            found.append((node.name, node.lineno, False))
     return found
 
 
 def unreferenced(modules: dict) -> list:
     """The definitions in ``modules`` (file name -> tree) that no module
-    other than ``__init__.py`` references, as (file, line, name)."""
-    defined = [(path, line, name) for path, tree in modules.items()
-               for name, line in definitions(tree)]
-    names = {name for _, _, name in defined}
-    used = {name for path, tree in modules.items() if path != "__init__.py"
-            for name, _ in references(tree, names)}
-    return sorted(item for item in defined if item[2] not in used)
+    other than ``__init__.py`` references, as (file, line, name).  A method
+    counts as used only when it is reached as an attribute: a parameter or
+    a local variable of the same name does not call it."""
+    defined = [(path, line, name, method) for path, tree in modules.items()
+               for name, line, method in definitions(tree)]
+    names = {name for _, _, name, _ in defined}
+    users = [tree for path, tree in modules.items() if path != "__init__.py"]
+    used = {name for tree in users for name, _ in references(tree, names)}
+    attributes = {node.attr for tree in users for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
+    return sorted((path, line, name) for path, line, name, method in defined
+                  if name not in (attributes if method else used))
 
 
 def test_unreferenced_definitions_are_found():
@@ -129,13 +134,15 @@ def test_unreferenced_definitions_are_found():
         "__init__.py": ast.parse("from .a import only_exported, Kept\n"),
         "a.py": ast.parse("class Kept:\n    def __eq__(self, o): pass\n"
                           "    def used(self): pass\n    def unused(self): pass\n"
+                          "    def shadowed(self): pass\n"
                           "def only_exported(): pass\ndef helper(): pass\n"
-                          "def caller():\n    def nested(): pass\n"
-                          "    return helper() + Kept().used()\n"),
+                          "def caller(shadowed=True):\n    def nested(): pass\n"
+                          "    return helper() + Kept().used() + shadowed\n"),
         "b.py": ast.parse("from .a import caller\n"),
     }
     assert unreferenced(modules) == [("a.py", 4, "unused"),
-                                     ("a.py", 5, "only_exported")]
+                                     ("a.py", 5, "shadowed"),
+                                     ("a.py", 6, "only_exported")]
 
 
 def test_no_dead_api():
