@@ -137,9 +137,8 @@ def random_surface(rng: random.Random, bounds: Bounds = Bounds(), *,
         if len(surf.interval_ids()) < require_intervals:
             continue
         if not all_outgoing:
-            ids = surf.outgoing
-            inc = tuple(s for s in ids if rng.random() < 0.5)
-            out = tuple(s for s in ids if s not in inc)
+            inc = tuple(s for s in surf.outgoing if rng.random() < 0.5)
+            out = tuple(s for s in surf.outgoing if s not in inc)
             surf = SuturedSurface(surf.components, inc, out)
         return surf
     raise RuntimeError("random surface generation failed to meet the bounds")

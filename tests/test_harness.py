@@ -42,7 +42,6 @@ class TestRandomSurface:
         # refused before any draw: the generator's state is untouched
         assert rng.getstate() == random.Random(0).getstate()
 
-
     @pytest.mark.parametrize("field,value", [
         ("max_components", 0), ("max_genus", -1), ("max_genus", 3),
         ("max_circles", -1), ("max_circles", 4), ("max_arcs", 0),
