@@ -59,8 +59,9 @@ class ParityParams:
 
     def __post_init__(self):
         for name in ("n1", "n2", "n3", "n4"):
-            if getattr(self, name) not in (0, 1):
-                raise ValueError(f"{name} must be 0 or 1")
+            value = getattr(self, name)
+            if not isinstance(value, int) or value not in (0, 1):
+                raise ValueError(f"{name} must be the int 0 or 1, got {value!r}")
 
     def pi_of(self, k: CountVector) -> int:
         """The parity of a surface with count vector ``k``."""

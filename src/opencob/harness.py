@@ -37,9 +37,10 @@ class Bounds:
     max_h: int = 8
 
     def __post_init__(self):
-        if self.max_components < 1:
-            raise ValueError(
-                f"max_components must be at least 1, got {self.max_components}")
+        for name, low in (("max_components", 1), ("max_h", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(
+                    f"{name} must be at least {low}, got {getattr(self, name)}")
         for name, low, high in (("max_genus", 0, len(GENUS_WEIGHTS) - 1),
                                 ("max_circles", 0, len(CIRCLE_WEIGHTS) - 1),
                                 ("max_arcs", 1, len(ARC_WEIGHTS))):

@@ -317,25 +317,39 @@ def symmetrizer_bimodule(m1: int, m2: int) -> Bimodule:
 def _on_first(act: IntMat, dim_y: int, signs=None) -> IntMat:
     """act (x) 1 on the pair space, times ``signs[j]`` on the pairs (., j)."""
     dim = act.ncols * dim_y
-    out = IntMat(dim, dim)
-    for jx, col in act.cols.items():
-        for jy in range(dim_y):
-            s = 1 if signs is None else signs[jy]
-            out.set_col(jx * dim_y + jy,
-                        {ix * dim_y + jy: s * v for ix, v in col.items()})
-    return out
+    signs = [1] * dim_y if signs is None else signs
+    return IntMat(dim, dim, {
+        jx * dim_y + jy: {ix * dim_y + jy: s * v for ix, v in col.items()}
+        for jx, col in act.cols.items() if col
+        for jy, s in enumerate(signs)})
 
 
 def _on_second(act: IntMat, dim_x: int, signs=None) -> IntMat:
     """1 (x) act on the pair space, times ``signs[i]`` on the pairs (i, .)."""
     dim_y = act.ncols
-    out = IntMat(dim_x * dim_y, dim_x * dim_y)
-    for jy, col in act.cols.items():
-        for jx in range(dim_x):
-            s = 1 if signs is None else signs[jx]
-            out.set_col(jx * dim_y + jy,
-                        {jx * dim_y + iy: s * v for iy, v in col.items()})
-    return out
+    signs = [1] * dim_x if signs is None else signs
+    return IntMat(dim_x * dim_y, dim_x * dim_y, {
+        jx * dim_y + jy: {jx * dim_y + iy: s * v for iy, v in col.items()}
+        for jy, col in act.cols.items() if col
+        for jx, s in enumerate(signs)})
+
+
+def _lift(act: IntMat, terms: list, nrows: int) -> IntMat:
+    """Column k: ``c * act[i, j]`` summed at row base + i * step over terms[k]."""
+    cols = {}
+    for k, col_terms in enumerate(terms):
+        col = {}
+        for j, base, step, c in col_terms:
+            for i, v in act.col(j).items():
+                key = base + i * step
+                w = col.get(key, 0) + c * v
+                if w:
+                    col[key] = w
+                else:
+                    del col[key]
+        if col:
+            cols[k] = col
+    return IntMat(nrows, len(terms), cols)
 
 
 def external_tensor(x: Bimodule, y: Bimodule) -> Bimodule:
@@ -382,15 +396,18 @@ def middle_relations(x: Bimodule, y: Bimodule) -> IntMat:
             xa_col = xa.col(i)
             base = i * dim_y
             for j, ay_col in enumerate(ay_cols):
-                # pair (r, j) is r * dim_y + j; the x a entries are distinct
-                col = {r * dim_y + j: v for r, v in xa_col.items()}
-                for s, v in ay_col.items():
-                    key = base + s
-                    w = col.get(key, 0) - v
-                    if w:
-                        col[key] = w
-                    else:
-                        del col[key]
+                if not xa_col:
+                    col = {base + s: -v for s, v in ay_col.items()}
+                else:
+                    # pair (r, j) is r * dim_y + j; the x a entries are distinct
+                    col = {r * dim_y + j: v for r, v in xa_col.items()}
+                    for s, v in ay_col.items():
+                        key = base + s
+                        w = col.get(key, 0) - v
+                        if w:
+                            col[key] = w
+                        else:
+                            del col[key]
                 if col:
                     cols[n] = col
                     n += 1
@@ -405,9 +422,13 @@ def tensor_middle(x: Bimodule, y: Bimodule) -> TensorResult:
     took no Euclidean step, the section is the ambient basis vectors at the
     block's ``free_rows`` (``SmithForm``).  A block that took a Euclidean
     step gets its section from columns ``rank..`` of u^-1, solved for with
-    ``solve_exact`` from the u it has.  An outer generator induces
-    ``projection @ generator @ section``.  Raises TorsionDetected if any
-    block has a nonunit invariant factor.
+    ``solve_exact`` from the u it has.  A left generator a induces
+    ``projection @ L``, with L = (a (x) 1) @ section read off a's columns:
+    a section column's pair (jx, jy) adds column jx of a in the rows (., jy).
+    A right generator b adds column jy of b in the rows (jx, .).  Neither
+    is formed on the pair space, so projection meets one column per section
+    column, not dim(X) * dim(Y).
+    Raises TorsionDetected if any block has a nonunit invariant factor.
 
     X and Y are valid bimodules (construction validates them), which proves
     two facts that are therefore not checked here:
@@ -476,8 +497,14 @@ def tensor_middle(x: Bimodule, y: Bimodule) -> TensorResult:
     q_grades = Grades(ambient.offset, [key[0] for key in basis_meta],
                       [key[1] for key in basis_meta])
 
-    lefts = [proj @ _on_first(a, y.dim) @ sect for a in x.left_actions]
-    rights = [proj @ _on_second(a, x.dim) @ sect for a in y.right_actions]
+    dim_y = y.dim
+    firsts = [[(g // dim_y, g % dim_y, dim_y, c) for g, c in col.items()]
+              for col in sect_cols.values()]
+    seconds = [[(g % dim_y, g - g % dim_y, 1, c) for g, c in col.items()]
+               for col in sect_cols.values()]
+    lefts = [proj @ _lift(a, firsts, dim) for a in x.left_actions]
+    rights = [proj @ _lift(b, seconds, dim) for b in y.right_actions]
+    del firsts, seconds  # not held through the quotient's validation
     bim = Bimodule(x.left, y.right, q_grades, lefts, rights,
                    label=f"({x.label})(x)_B({y.label})")
     return TensorResult(bim, proj, sect, rel)

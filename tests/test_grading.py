@@ -99,6 +99,14 @@ class TestPi:
             u = disjoint_union(f, g)
             assert pi(params, u) == (pi(params, f) + pi(params, g)) % 2
 
+    @pytest.mark.parametrize("bit", [1.0, F(1), "1", 2, -1, None])
+    def test_a_bit_that_is_not_the_int_0_or_1_is_refused(self, bit):
+        # 1.0 == 1, so a membership test alone let it through to pi_of
+        for name in ("n1", "n2", "n3", "n4"):
+            bits = {"n1": 0, "n2": 0, "n3": 0, "n4": 0, name: bit}
+            with pytest.raises(ValueError, match=f"^{name} must be "):
+                ParityParams(**bits)
+
 
 class TestHalf:
     def test_fgp_formula(self):

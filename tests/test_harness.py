@@ -34,7 +34,7 @@ class TestRandomSurface:
                 assert 1 <= len(f.outgoing) <= 3
                 assert rank_h(f) <= max_h and rank_h(fp) <= max_h
 
-    @pytest.mark.parametrize("max_h", [-1, 0, 1])
+    @pytest.mark.parametrize("max_h", [0, 1])
     def test_pairs_refuse_small_max_h_up_front(self, max_h):
         rng = random.Random(0)
         with pytest.raises(ValueError, match="max-h"):
@@ -45,7 +45,7 @@ class TestRandomSurface:
     @pytest.mark.parametrize("field,value", [
         ("max_components", 0), ("max_genus", -1), ("max_genus", 3),
         ("max_circles", -1), ("max_circles", 4), ("max_arcs", 0),
-        ("max_arcs", 4)])
+        ("max_arcs", 4), ("max_h", -1)])
     def test_bounds_the_generator_cannot_draw_are_refused(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be "):
             Bounds(**{field: value})

@@ -6,7 +6,8 @@ import pytest
 
 from opencob import superalg
 from opencob.grading import PRESET_TENSOR
-from opencob.harness import Bounds, random_composable_pair
+from opencob.gluing import union_iso
+from opencob.harness import Bounds, random_composable_pair, random_surface
 from opencob.snf import IntMat, smith
 from opencob.statespace import bimodule_of, build
 from opencob.superalg import (ActionRelationViolation, AlgebraMismatch,
@@ -248,6 +249,31 @@ def associativity_witness(x: Bimodule, y: Bimodule, z: Bimodule):
     return is_graded_iso(witness, left.bimodule, right.bimodule)
 
 
+def on_first(act, dim_y, signs=None):
+    """act (x) 1 on the pair space (i, j) -> i * dim_y + j, times
+    ``signs[j]``, one column at a time."""
+    dim = act.ncols * dim_y
+    out = IntMat(dim, dim)
+    for jx, col in act.cols.items():
+        for jy in range(dim_y):
+            s = 1 if signs is None else signs[jy]
+            out.set_col(jx * dim_y + jy,
+                        {ix * dim_y + jy: s * v for ix, v in col.items()})
+    return out
+
+
+def on_second(act, dim_x, signs=None):
+    """1 (x) act on the pair space, times ``signs[i]``."""
+    dim_y = act.ncols
+    out = IntMat(dim_x * dim_y, dim_x * dim_y)
+    for jy, col in act.cols.items():
+        for jx in range(dim_x):
+            s = 1 if signs is None else signs[jx]
+            out.set_col(jx * dim_y + jy,
+                        {jx * dim_y + iy: s * v for iy, v in col.items()})
+    return out
+
+
 class TestTensorMiddle:
     def test_unit_right(self):
         # X (x)_B B has the rank of X
@@ -337,12 +363,96 @@ class TestTensorMiddle:
             fp, f = random_composable_pair(rng, Bounds(max_h=6))
             x, y = (bimodule_of(build(s, PRESET_TENSOR)) for s in (fp, f))
             t = tensor_middle(x, y)
-            outer = [superalg._on_first(a, y.dim) for a in x.left_actions]
-            outer += [superalg._on_second(a, x.dim) for a in y.right_actions]
+            outer = [on_first(a, y.dim) for a in x.left_actions]
+            outer += [on_second(a, x.dim) for a in y.right_actions]
             for amb in outer:
                 assert (t.projection @ amb @ t.relations).is_zero()
             checked += len(outer) * (t.relations.ncols > 0)
         assert checked
+
+    @staticmethod
+    def euclidean_pair():
+        """The pair of the Euclidean-section test, each side given an outer
+        generator by an external tensor with E: e0 -> e1."""
+        grades = Grades(Fraction(0), [0, -1], [0, 1])
+        e = IntMat(2, 2, {0: {1: 1}})
+        x = Bimodule(SuperAlgebra(0), SuperAlgebra(1), grades, [],
+                     [IntMat(2, 2, {0: {1: 2}})])
+        y = Bimodule(SuperAlgebra(1), SuperAlgebra(0), grades,
+                     [IntMat(2, 2, {0: {1: 3}})], [])
+        return (external_tensor(Bimodule(SuperAlgebra(1), SuperAlgebra(0),
+                                         grades, [e], []), x),
+                external_tensor(y, Bimodule(SuperAlgebra(0), SuperAlgebra(1),
+                                            grades, [], [e])))
+
+    @staticmethod
+    def tensor_inputs():
+        """Seeded composable pairs, the two tensor products of seeded
+        naturality squares (A(m) (x) ext and Z(F u G) (x) A(m')), and the
+        Euclidean-section pair."""
+        rng = random.Random(5)
+        for _ in range(6):
+            fp, f = random_composable_pair(rng, Bounds(max_h=6))
+            yield tuple(bimodule_of(build(s, PRESET_TENSOR)) for s in (fp, f))
+        for _ in range(6):
+            f, g = (random_surface(rng, Bounds(max_h=3), prefix=prefix,
+                                   all_outgoing=False) for prefix in "fg")
+            witness = union_iso(build(f, PRESET_TENSOR), build(g, PRESET_TENSOR))
+            ext, bim_u = witness.source, witness.target
+            yield regular_bimodule(SuperAlgebra(ext.left.m)), ext
+            yield bim_u, regular_bimodule(SuperAlgebra(ext.right.m))
+        yield TestTensorMiddle.euclidean_pair()
+
+    def test_induced_actions_equal_the_ambient_products(self):
+        # proj @ (a (x) 1) @ sect, formed on the whole pair space
+        euclidean = 0
+        for x, y in self.tensor_inputs():
+            t = tensor_middle(x, y)
+            assert t.bimodule.left_actions == [
+                t.projection @ on_first(a, y.dim) @ t.section
+                for a in x.left_actions]
+            assert t.bimodule.right_actions == [
+                t.projection @ on_second(a, x.dim) @ t.section
+                for a in y.right_actions]
+            if any(len(col) > 1 for col in t.section.cols.values()):
+                euclidean += 1
+                assert x.left_actions and y.right_actions
+        assert euclidean
+
+    def test_relations_are_the_balancing_differences(self):
+        # column (k, i, j): x_i E_k (x) y_j - x_i (x) E_k y_j, zero ones dropped
+        for x, y in self.tensor_inputs():
+            cols = []
+            for xa, ay in zip(x.right_actions, y.left_actions):
+                diff = on_first(xa, y.dim) + -on_second(ay, x.dim)
+                cols += [diff.cols[g] for g in range(x.dim * y.dim) if g in diff.cols]
+            assert superalg.middle_relations(x, y) == \
+                IntMat(x.dim * y.dim, len(cols), dict(enumerate(cols)))
+
+    def test_nothing_is_lifted_on_the_ambient_pair_space(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a generator lifted to the pair space")
+
+        inputs = list(self.tensor_inputs())
+        expected = [tensor_middle(x, y).bimodule for x, y in inputs]
+        monkeypatch.setattr(superalg, "_on_first", refused)
+        monkeypatch.setattr(superalg, "_on_second", refused)
+        for (x, y), bim in zip(inputs, expected):
+            got = tensor_middle(x, y).bimodule
+            assert (got.left_actions, got.right_actions) == \
+                (bim.left_actions, bim.right_actions)
+
+    def test_external_tensor_acts_on_the_pair_space(self):
+        for x, y in self.tensor_inputs():
+            x_signs = [-1 if p else 1 for p in x.parities]
+            y_signs = [-1 if p else 1 for p in y.parities]
+            ext = external_tensor(x, y)
+            assert ext.left_actions == \
+                [on_first(a, y.dim) for a in x.left_actions] + \
+                [on_second(a, x.dim, x_signs) for a in y.left_actions]
+            assert ext.right_actions == \
+                [on_first(a, y.dim, y_signs) for a in x.right_actions] + \
+                [on_second(a, x.dim) for a in y.right_actions]
 
     def test_torsion_detected(self):
         # doubled actions on both sides of the balancing relation leave a Z/2
