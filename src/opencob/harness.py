@@ -537,11 +537,10 @@ def resolve_trials(name: str, trials=None) -> int | None:
 def check_max_h(name: str, max_h: int) -> None:
     """Refuse a ``max_h`` the suite's surface generator cannot meet.
 
-    Every suite refuses a negative bound, and ``theorem`` one that
-    ``random_composable_pair`` refuses.
+    Every suite refuses a bound that ``Bounds`` refuses, and ``theorem``
+    one that ``random_composable_pair`` refuses.
     """
-    if max_h < 0:
-        raise ValueError(f"max-h must be non-negative, got {max_h}")
+    Bounds(max_h=max_h)
     if name == "theorem":
         check_pair_h(max_h)
 

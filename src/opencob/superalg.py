@@ -334,24 +334,6 @@ def _on_second(act: IntMat, dim_x: int, signs=None) -> IntMat:
         for jx, s in enumerate(signs)})
 
 
-def _lift(act: IntMat, terms: list, nrows: int) -> IntMat:
-    """Column k: ``c * act[i, j]`` summed at row base + i * step over terms[k]."""
-    cols = {}
-    for k, col_terms in enumerate(terms):
-        col = {}
-        for j, base, step, c in col_terms:
-            for i, v in act.col(j).items():
-                key = base + i * step
-                w = col.get(key, 0) + c * v
-                if w:
-                    col[key] = w
-                else:
-                    del col[key]
-        if col:
-            cols[k] = col
-    return IntMat(nrows, len(terms), cols)
-
-
 def external_tensor(x: Bimodule, y: Bimodule) -> Bimodule:
     """Koszul external tensor over (B1 (x) B2, A1 (x) A2).
 
@@ -396,18 +378,15 @@ def middle_relations(x: Bimodule, y: Bimodule) -> IntMat:
             xa_col = xa.col(i)
             base = i * dim_y
             for j, ay_col in enumerate(ay_cols):
-                if not xa_col:
-                    col = {base + s: -v for s, v in ay_col.items()}
-                else:
-                    # pair (r, j) is r * dim_y + j; the x a entries are distinct
-                    col = {r * dim_y + j: v for r, v in xa_col.items()}
-                    for s, v in ay_col.items():
-                        key = base + s
-                        w = col.get(key, 0) - v
-                        if w:
-                            col[key] = w
-                        else:
-                            del col[key]
+                # pair (r, j) is r * dim_y + j; the x a entries are distinct
+                col = {r * dim_y + j: v for r, v in xa_col.items()}
+                for s, v in ay_col.items():
+                    key = base + s
+                    w = col.get(key, 0) - v
+                    if w:
+                        col[key] = w
+                    else:
+                        del col[key]
                 if col:
                     cols[n] = col
                     n += 1
@@ -425,9 +404,9 @@ def tensor_middle(x: Bimodule, y: Bimodule) -> TensorResult:
     ``solve_exact`` from the u it has.  A left generator a induces
     ``projection @ L``, with L = (a (x) 1) @ section read off a's columns:
     a section column's pair (jx, jy) adds column jx of a in the rows (., jy).
-    A right generator b adds column jy of b in the rows (jx, .).  Neither
-    is formed on the pair space, so projection meets one column per section
-    column, not dim(X) * dim(Y).
+    A right generator b adds column jy of b in the rows (jx, .).  Each is
+    formed only at the pairs the section reaches, so projection meets one
+    column per section column, not dim(X) * dim(Y).
     Raises TorsionDetected if any block has a nonunit invariant factor.
 
     X and Y are valid bimodules (construction validates them), which proves
@@ -498,13 +477,13 @@ def tensor_middle(x: Bimodule, y: Bimodule) -> TensorResult:
                       [key[1] for key in basis_meta])
 
     dim_y = y.dim
-    firsts = [[(g // dim_y, g % dim_y, dim_y, c) for g, c in col.items()]
-              for col in sect_cols.values()]
-    seconds = [[(g % dim_y, g - g % dim_y, 1, c) for g, c in col.items()]
-               for col in sect_cols.values()]
-    lefts = [proj @ _lift(a, firsts, dim) for a in x.left_actions]
-    rights = [proj @ _lift(b, seconds, dim) for b in y.right_actions]
-    del firsts, seconds  # not held through the quotient's validation
+    pairs = {g for col in sect_cols.values() for g in col}
+    lefts = [proj @ (IntMat(dim, dim, {
+        g: {i * dim_y + g % dim_y: v for i, v in a.col(g // dim_y).items()}
+        for g in pairs}) @ sect) for a in x.left_actions]
+    rights = [proj @ (IntMat(dim, dim, {
+        g: {g - g % dim_y + i: v for i, v in b.col(g % dim_y).items()}
+        for g in pairs}) @ sect) for b in y.right_actions]
     bim = Bimodule(x.left, y.right, q_grades, lefts, rights,
                    label=f"({x.label})(x)_B({y.label})")
     return TensorResult(bim, proj, sect, rel)
