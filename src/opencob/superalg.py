@@ -144,10 +144,6 @@ class Grades:
             return not self.words and not other.words
         return self.block_dims(gap) == other.block_dims()
 
-    def select(self, indices) -> "Grades":
-        return Grades(self.offset, [self.words[i] for i in indices],
-                      [self.parities[i] for i in indices])
-
     def tensor(self, other: "Grades") -> "Grades":
         """The basis of pairs; pair (i, j) is element ``i * len(other) + j``."""
         return Grades(self.offset + other.offset,
@@ -500,7 +496,9 @@ class GradedIso:
     matrix: IntMat
     source: Bimodule
     target: Bimodule
-    checks: tuple = ()
+
+    # what every returned iso has passed, in the order it is checked
+    checks = ("blocks", "ranks", "intertwining", "unimodular")
 
     @property
     def ok(self):
@@ -549,16 +547,13 @@ def is_graded_iso(matrix: IntMat, x: Bimodule, y: Bimodule):
                 for k in set(xb) | set(yb) if xb.get(k) != yb.get(k)}
         return IsoFailure("graded rank mismatch", str(diff))
 
-    checks = ["blocks", "ranks"]
     for side, xg, yg in (("left", x.left_actions, y.left_actions),
                          ("right", x.right_actions, y.right_actions)):
         for k, (a, b) in enumerate(zip(xg, yg)):
             if matrix @ a != b @ matrix:
                 return IsoFailure("intertwining failure",
                                   f"{side} generator {k}")
-    checks.append("intertwining")
 
     if not is_unimodular(matrix):
         return IsoFailure("not unimodular")
-    checks.append("unimodular")
-    return GradedIso(matrix, x, y, tuple(checks))
+    return GradedIso(matrix, x, y)

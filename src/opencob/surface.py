@@ -486,6 +486,8 @@ def compose(fp: SuturedSurface, f: SuturedSurface) -> SuturedSurface:
 
 def surface_fgp(g: int, p: int) -> SuturedSurface:
     """Connected genus-g surface with p boundary circles fully in S+."""
+    if p < 0:
+        raise ValueError(f"surface_fgp needs p >= 0, got {p}")
     circles = tuple(BoundaryCircle.full_plus(f"c{k+1}") for k in range(p))
     surf = Component(g, circles)
     return SuturedSurface((surf,), (), tuple(f"c{k+1}" for k in range(p)))
@@ -497,6 +499,8 @@ def open_pants(p: int) -> SuturedSurface:
     The boundary word follows the positively oriented boundary of the disk:
     out, in_p, ..., in_1.
     """
+    if p < 0:
+        raise ValueError(f"open_pants needs p >= 0, got {p}")
     ins = tuple(f"in{k+1}" for k in range(p))
     word_ids = ("out",) + tuple(reversed(ins))
     comp = Component(0, (BoundaryCircle.mixed(*word_ids),))
@@ -539,6 +543,8 @@ def annulus(side1, side2) -> SuturedSurface:
 
 def _as_labels(labels, offset=0):
     if isinstance(labels, int):
+        if labels < 0:
+            raise ValueError(f"labels must be a count >= 0, got {labels}")
         return tuple(str(k + 1 + offset) for k in range(labels))
     return tuple(labels)
 

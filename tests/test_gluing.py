@@ -13,8 +13,7 @@ from opencob.grading import (PRESET_HALF, PRESET_TENSOR, Grading,
                              ParityParams, ShiftParams)
 from opencob.gluing import (CASE_DEGREE_SHIFT, ConventionMismatch,
                             ParameterConstraintViolated, QuotientOracle,
-                            WedgeMap, _monomial_actions,
-                            certify_unimodular, compose_iso,
+                            WedgeMap, _monomial_actions, compose_iso,
                             identity_iso, naturality_square, pants_iso,
                             quotient_oracle, self_glue_iso, symmetrizer_iso,
                             union_iso)
@@ -23,9 +22,9 @@ from opencob.harness import (Bounds, lemma_case_instances,
 from opencob.homology import H1Basis, adapted_basis, change_of_basis
 from opencob.snf import IntMat, smith
 from opencob.statespace import action_matrix, bimodule_of, build, graded_superdim
-from opencob.superalg import (Bimodule, GradedIso, Grades, SuperAlgebra,
-                              TensorResult, bits, external_tensor,
-                              is_graded_iso, regular_bimodule)
+from opencob.superalg import (Bimodule, GradedIso, GradedMap, Grades,
+                              SuperAlgebra, TensorResult, bits,
+                              external_tensor, is_graded_iso, regular_bimodule)
 from opencob.surface import (BoundaryCircle, Component, NotOutgoing,
                              SuturedSurface, compose, disjoint_union,
                              identity_cobordism, open_pants, rank_h)
@@ -57,6 +56,26 @@ def quotient_representatives(res, i1, i2):
         q.set_col(jq, {space.index[m]: c
                        for m, c in from_adapted.expand(amask).items()})
     return survivors, q
+
+
+def survivor_grades(space, survivors):
+    """The grades of the monomials ``survivors`` of ``space``, in order."""
+    ix = [space.index[m] for m in survivors]
+    g = space.grades
+    return Grades(g.offset, [g.words[i] for i in ix], [g.parities[i] for i in ix])
+
+
+def with_last_column(change):
+    """``_glue_map`` with psi's last column replaced by ``change`` of it."""
+    honest = gluing._glue_map
+
+    def corrupted(*args):
+        glued = honest(*args)
+        psi = glued.psi
+        mat = IntMat(psi.nrows, psi.ncols, dict(psi.cols))
+        mat.set_col(psi.ncols - 1, change(psi.col(psi.ncols - 1)))
+        return dataclasses.replace(glued, psi=mat)
+    return corrupted
 
 
 def explicit_quotient_iso(res, i1, i2):
@@ -95,7 +114,7 @@ def explicit_quotient_iso(res, i1, i2):
             act.set_col(jq, reduce_to_quotient(e_mat.apply(q.col(jq))))
         lefts.append(act)
     quotient = Bimodule(SuperAlgebra(len(remaining)), SuperAlgebra(0),
-                        space.grades.select([space.index[m] for m in survivors]),
+                        survivor_grades(space, survivors),
                         lefts, [], label="Z(F)/im(E1+E2)")
     return is_graded_iso(res.psi @ q, quotient, bimodule_of(target))
 
@@ -133,39 +152,45 @@ class TestSelfGlue:
 
     @pytest.mark.parametrize("case,created,s,i1,i2", [
         (c, n, s, a, b) for c, n, s, a, b in lemma_case_instances()])
-    def test_certificate_refuses_a_doubled_column(self, case, created, s, i1, i2):
-        res = self_glue_iso(s, i1, i2, GENERIC)
-        survivors, q = quotient_representatives(res, i1, i2)
-        space = res.source_space
-        cols = space.grades.select([space.index[m] for m in survivors])
-        rows = res.target_space.grades
-        certify_unimodular(res.psi @ q, cols, rows, case)
-        j = len(survivors) - 1
-        q.set_col(j, {i: 2 * v for i, v in q.col(j).items()})
-        with pytest.raises(ConventionMismatch, match="not unimodular"):
-            certify_unimodular(res.psi @ q, cols, rows, case)
+    def test_psi_on_the_survivors_keeps_its_blocks_square(self, case, created,
+                                                         s, i1, i2):
+        # the certificate checks only that psi @ q is unimodular: psi is even
+        # of degree zero and q keeps factor counts, so psi @ q keeps its
+        # blocks, and being invertible over Z it has square blocks
+        space = build(s, PRESET_TENSOR)
+        for sign in (1, -1):
+            res = self_glue_iso(space, i1, i2, sigma_sign=sign)
+            survivors, q = quotient_representatives(res, i1, i2)
+            cols, rows = survivor_grades(space, survivors), res.target_space.grades
+            assert GradedMap(res.psi @ q, 0, 0).check_blocks(cols, rows) is None
+            assert cols.same_blocks(rows)
 
-    def test_certificate_refuses_a_missing_column(self):
-        s = surf([Component(0, (mk("i1", "x", "i2", "y"),))])
-        res = self_glue_iso(s, "i1", "i2", PRESET_TENSOR)
-        survivors, q = quotient_representatives(res, "i1", "i2")
-        space = res.source_space
-        cols = space.grades.select([space.index[m] for m in survivors[:-1]])
-        short = q.submatrix(range(q.nrows), range(q.ncols - 1))
-        with pytest.raises(ConventionMismatch, match="sizes"):
-            certify_unimodular(res.psi @ short, cols, res.target_space.grades,
-                               res.case_tag)
+    @pytest.mark.parametrize("case,created,s,i1,i2", [
+        (c, n, s, a, b) for c, n, s, a, b in lemma_case_instances()])
+    def test_certificate_refuses_a_doubled_column(self, monkeypatch, case,
+                                                  created, s, i1, i2):
+        # psi's last column doubled still kills the relations and keeps its
+        # block; on the instances with two remaining generators step 4
+        # refuses it, on the other seven step 6 does
+        self_glue_iso(s, i1, i2, GENERIC)
+        monkeypatch.setattr(gluing, "_glue_map", with_last_column(
+            lambda col: {i: 2 * v for i, v in col.items()}))
+        two_remaining = len([sid for sid in s.outgoing if sid not in (i1, i2)
+                             and s.is_interval(sid)]) == 2
+        refused = ("E_.* does not intertwine" if two_remaining
+                   else "psi is not unimodular on the quotient basis")
+        with pytest.raises(ConventionMismatch, match=f"^case {case}: {refused}$"):
+            self_glue_iso(s, i1, i2, GENERIC)
 
-    def test_certificate_refuses_a_column_leaving_its_block(self):
-        # unimodular, with equal block sizes, but column 1 (word 1, odd)
-        # reaches row 0 (word 0, even)
-        grades = Grades(0, [0, 1], [0, 1])
-        phi = IntMat(2, 2, {0: {0: 1}, 1: {0: 1, 1: 1}})
-        certify_unimodular(IntMat.identity(2), grades, grades, "1-1")
+    def test_certificate_refuses_a_missing_column(self, monkeypatch):
+        # psi sends the top monomial to zero: every other check passes
+        s = surf([Component(0, (mk("i1"), mk("i2")))])
+        self_glue_iso(s, "i1", "i2", PRESET_TENSOR)
+        monkeypatch.setattr(gluing, "_glue_map", with_last_column(lambda col: {}))
         with pytest.raises(ConventionMismatch,
-                           match="case 1-1: psi on the quotient basis leaves "
-                                 "column 1's block"):
-            certify_unimodular(phi, grades, grades, "1-1")
+                           match="^case 2-2b: psi is not unimodular on the "
+                                 "quotient basis$"):
+            self_glue_iso(s, "i1", "i2", PRESET_TENSOR)
 
     def test_case_2_1b_relations_vanish(self):
         s = surf([Component(0, (mk("i1", "i2"),))])
@@ -401,7 +426,8 @@ class TestCorruptedInputs:
 
         monkeypatch.setattr(gluing, "build", reversed_basis)
         with pytest.raises(ConventionMismatch,
-                           match="composed basis differs from the canonical basis"):
+                           match="composition iso failed: intertwining failure: "
+                                 "left generator 0"):
             compose_iso(fp, f, PRESET_TENSOR)
 
 
@@ -486,12 +512,12 @@ class TestComposeIso:
             monkeypatch.setattr(gluing, name, wrapper)
 
         counted("quotient_oracle")
-        counted("certify_unimodular")
+        counted("is_unimodular")
         res = compose_iso(open_pants(3), three_identities(), PRESET_TENSOR)
         assert isinstance(res.iso, GradedIso) and calls == []
         self_glue_iso(surf([Component(0, (mk("i1", "x", "i2", "y"),))]),
                       "i1", "i2", PRESET_TENSOR)
-        assert calls == ["quotient_oracle", "certify_unimodular"]
+        assert calls == ["quotient_oracle", "is_unimodular"]
 
     def test_a_corrupted_step_fails_the_final_iso(self, monkeypatch):
         # the last of three 1-3 gluings with psi's last column negated: chi

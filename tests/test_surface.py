@@ -4,6 +4,8 @@ import random
 import pytest
 from test_small_scope import small_surfaces
 
+from opencob.gluing import identity_iso, pants_iso, symmetrizer_iso
+from opencob.grading import PRESET_TENSOR
 from opencob.harness import Bounds, random_surface
 from opencob.surface import (AlternationViolation, ArityMismatch,
                              BoundaryCircle, CircleInGluingRegion, Component,
@@ -345,6 +347,23 @@ class TestBuilders:
 
     def test_surface_fgp_disk(self):
         assert rank_h(surface_fgp(0, 1)) == 0
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: open_pants(-2), "open_pants needs p >= 0, got -2"),
+        (lambda: surface_fgp(1, -3), "surface_fgp needs p >= 0, got -3"),
+        (lambda: identity_cobordism(-2), "labels must be a count >= 0, got -2"),
+        (lambda: symmetrizer_cobordism(1, -1), "labels must be a count >= 0, got -1"),
+        (lambda: pants_iso(-1, PRESET_TENSOR), "open_pants needs p >= 0, got -1"),
+        (lambda: identity_iso(-1, PRESET_TENSOR), "labels must be a count >= 0, got -1"),
+        (lambda: symmetrizer_iso(-1, 1, PRESET_TENSOR),
+         "labels must be a count >= 0, got -1"),
+    ], ids=["open_pants", "surface_fgp", "identity_cobordism",
+            "symmetrizer_cobordism", "pants_iso", "identity_iso",
+            "symmetrizer_iso"])
+    def test_a_negative_count_is_refused(self, build, message):
+        # range() of a negative count is empty: it would build a smaller surface
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
 
     def test_annulus(self):
         a = annulus(("full+", "c1"), ("full-",))

@@ -58,12 +58,6 @@ PATHS = (
 # field, which tells apart the sites of one function.
 SITES = (
     ("gluing.py", "_verified", "{} failed: {}"),
-    ("gluing.py", "certify_unimodular",
-     "case {}: quotient basis sizes by (word length, parity) {} do not match Z(F-bar)"),
-    ("gluing.py", "certify_unimodular",
-     "case {}: psi on the quotient basis leaves column {}'s block"),
-    ("gluing.py", "certify_unimodular",
-     "case {}: psi is not unimodular on the quotient basis"),
     ("gluing.py", "_certify_glue", "case {}: map does not kill im(E1+E2)"),
     ("gluing.py", "_certify_glue", "case {}: degree shift {}, expected {}"),
     ("gluing.py", "_certify_glue", "case {}: parity shift {}"),
@@ -73,14 +67,13 @@ SITES = (
     ("gluing.py", "_certify_glue", "case {}: quotient has torsion {}"),
     ("gluing.py", "_certify_glue",
      "case {}: quotient ranks {} != target {} by (word length, parity)"),
-    ("gluing.py", "compose_iso", "composed basis differs from the canonical basis"),
+    ("gluing.py", "_certify_glue",
+     "case {}: psi is not unimodular on the quotient basis"),
     ("gluing.py", "compose_iso",
      "composition map does not kill the balancing relations"),
     ("harness.py", "verify_theorem.run", "superdimension mismatch"),
     ("harness.py", "verify_lemma_cases", "expected case {}, got {}"),
     ("harness.py", "verify_lemma_cases", "expected {} new S- circles, got {}"),
-    ("harness.py", "verify_lemma_cases", "degree shift {} != {}"),
-    ("harness.py", "verify_lemma_cases", "gluing certified only by {}"),
     ("harness.py", "verify_pants", "top monomial does not map to +-1"),
     ("harness.py", "verify_dimensions", "{} != {}"),
     ("harness.py", "verify_dimensions", "non-integral exponent"),
